@@ -15,7 +15,7 @@ contact points; see the solver and certificate modules.
 from .certificate import (KktCertificate, build_certificate,
                           caratheodory_reduce, contact_moment_matrix,
                           dball_contact_check, gaussian_moment_matrix)
-from .centering import (CenteredSolveReport, OuterSearchConfig, rho_of_center,
+from .centering import (CenteredSolveReport, rho_of_center,
                         solve_min_volume_centered)
 from .constraints import (ConstraintSet, InclusionAudit, KDescription,
                           inclusion_check, to_constraints)
@@ -40,7 +40,7 @@ __all__ = [
     "DegenerateInputError", "EllipsoidOracleResult", "EmptySetError",
     "HomfitError", "HomogeneousPoly", "InclusionAudit", "InfeasibleError",
     "KDescription", "KktCertificate", "McVolume", "MomentVector",
-    "MultiIndex", "NotInConeError", "OuterSearchConfig", "QuadratureSpec",
+    "MultiIndex", "NotInConeError", "QuadratureSpec",
     "ReductionError", "SolveReport", "SolverConfig", "basis_for",
     "build_certificate", "caratheodory_reduce", "compose_linear",
     "contact_moment_matrix", "crosscheck_levelset_moment",

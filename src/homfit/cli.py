@@ -79,7 +79,9 @@ def build_parser():
     parser.add_argument("input", help="points CSV (one point per row) or JSON job file")
     parser.add_argument("--degree", type=int, default=2, help="even degree of g (default 2)")
     parser.add_argument("--mode", choices=("p0", "p"), default="p0",
-                        help="p0: center fixed at origin; p: optimize the center")
+                        help="p0: center fixed at origin; p: optimize the center "
+                             "jointly with g, then keep the best of that center, "
+                             "the centroid and the origin")
     parser.add_argument("--budget", type=int, default=2000,
                         help="sample budget for semialgebraic sets (default 2000)")
     parser.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
@@ -326,6 +328,9 @@ def run(job):
             payload["outer"] = {
                 "iterations": centered.outer_iterations,
                 "inner_solves": centered.evaluations,
+                "joint_stages": centered.meta["joint_stages"],
+                "center_stationarity": centered.meta["center_stationarity"],
+                "fallback": centered.meta["fallback"],
             }
     except (EmptySetError, DegenerateInputError, InfeasibleError) as exc:
         _emit_error("geometry", str(exc))

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptySetError
-from .polynomials import MultiIndex, monomial_matrix
+from .polynomials import MultiIndex, _differentiate, monomial_matrix
 
 __all__ = ["KDescription", "ConstraintSet", "to_constraints", "inclusion_check",
            "InclusionAudit"]
@@ -48,10 +48,9 @@ class _PolyIneq:
         x = np.asarray(x, dtype=float)
         out = np.zeros(self.n)
         for j in range(self.n):
-            shifted = self.exponents.copy()
-            shifted[:, j] = np.maximum(shifted[:, j] - 1, 0)
-            factors = self.coeffs * self.exponents[:, j]
-            out[j] = float((monomial_matrix(x[None, :], shifted) @ factors)[0])
+            shifted, factor = _differentiate(self.exponents, (j,))
+            out[j] = float((monomial_matrix(x[None, :], shifted)
+                            @ (self.coeffs * factor))[0])
         return out
 
 

@@ -23,6 +23,8 @@ __all__ = [
     "basis_for",
     "enumerate_basis",
     "monomial_matrix",
+    "monomial_jacobian",
+    "monomial_hessian",
     "compose_linear",
     "min_on_sphere",
 ]
@@ -201,6 +203,47 @@ def monomial_matrix(x, exponents):
     return out
 
 
+def _differentiate(exponents, axes):
+    """Exponent rows and factors of d/dx_j1 ... d/dx_jk x^a for j in `axes`.
+
+    Each derivative multiplies by the current exponent and lowers it by
+    one; a monomial whose exponent reaches zero gets factor 0 (its
+    clipped exponent row is then irrelevant).
+    """
+    shifted = np.array(exponents, dtype=np.int64)
+    factor = np.ones(shifted.shape[0])
+    for j in axes:
+        factor = factor * shifted[:, j]
+        shifted[:, j] = np.maximum(shifted[:, j] - 1, 0)
+    return shifted, factor
+
+
+def monomial_jacobian(x, exponents):
+    """First derivatives of every monomial: out[i, k, j] = d x^a_k / dx_j
+    at point i; shape (m, rows, n)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n = x.shape[1]
+    out = np.empty((x.shape[0], len(exponents), n))
+    for j in range(n):
+        shifted, factor = _differentiate(exponents, (j,))
+        out[:, :, j] = monomial_matrix(x, shifted) * factor
+    return out
+
+
+def monomial_hessian(x, exponents):
+    """Second derivatives of every monomial: out[i, k, j, l] =
+    d^2 x^a_k / dx_j dx_l at point i; shape (m, rows, n, n)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n = x.shape[1]
+    out = np.empty((x.shape[0], len(exponents), n, n))
+    for j in range(n):
+        for l in range(j, n):
+            shifted, factor = _differentiate(exponents, (j, l))
+            out[:, :, j, l] = monomial_matrix(x, shifted) * factor
+            out[:, :, l, j] = out[:, :, j, l]
+    return out
+
+
 class HomogeneousPoly:
     """Homogeneous polynomial g(x) = sum_a g_a x^a over the slice |a| = d.
 
@@ -277,13 +320,10 @@ class HomogeneousPoly:
         arr = np.atleast_2d(np.asarray(x, dtype=float))
         if arr.shape[1] != self.n:
             raise ValueError("point dimension mismatch")
-        exps = self.basis.exponents
         out = np.empty((arr.shape[0], self.n))
         for j in range(self.n):
-            shifted = exps.copy()
-            shifted[:, j] = np.maximum(shifted[:, j] - 1, 0)
-            factors = self.coeff_vector * exps[:, j]
-            out[:, j] = monomial_matrix(arr, shifted) @ factors
+            shifted, factor = _differentiate(self.basis.exponents, (j,))
+            out[:, j] = monomial_matrix(arr, shifted) @ (self.coeff_vector * factor)
         return out[0] if np.asarray(x).ndim == 1 else out
 
     def min_on_sphere(self, angular_budget=None):

@@ -62,6 +62,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0 < self.kkt_tolerance < 1):
             raise ValueError("kkt_tolerance must be in (0, 1)")
+        if self.max_newton_iters < 1:
+            raise ValueError("max_newton_iters must be >= 1")
         if self.barrier_multiplier <= 1:
             raise ValueError("barrier_multiplier must exceed 1")
         if not (0 < self.backtrack_ratio < 1):
@@ -100,9 +102,12 @@ class SolveReport:
 
 def initial_guess(cs, degree, margin=0.01):
     """Strictly feasible start: scale x_1^d + ... + x_n^d so the largest
-    sample value is 1/(1+margin).  Always inside the positivity cone."""
-    base = HomogeneousPoly.sum_of_powers(cs.n, degree)
-    vals = base(cs.points)
+    sample value is 1/(1+margin).  Always inside the positivity cone.
+
+    `cs` is a ConstraintSet or an (m, n) array of points."""
+    points = np.atleast_2d(getattr(cs, "points", cs))
+    base = HomogeneousPoly.sum_of_powers(points.shape[1], degree)
+    vals = base(points)
     top = float(np.max(vals))
     if top <= 0.0:
         # all points at the origin; any positive polynomial is feasible
@@ -135,11 +140,8 @@ def kkt_residual(g, multipliers, cs, spec=None):
         raise ValueError("multipliers must be nonnegative")
     mv = moment_vector(g, spec or DEFAULT_QUADRATURE, include_2d=False)
     V = basis_for(cs.n, g.degree).monomials(cs.points)
-    gv = V @ g.coeff_vector
-    stat = float(np.max(np.abs(V.T @ lam - mv.vector_d())))
-    comp = float(np.max(np.abs(lam * (1.0 - gv)))) if lam.size else 0.0
-    feas = float(np.max(np.clip(gv - 1.0, 0.0, None)))
-    return max(stat, comp, feas) / mv.y0
+    slack = 1.0 - V @ g.coeff_vector
+    return _residual_from_parts(V, lam, mv.vector_d(), slack, mv.y0)
 
 
 def _dense_multipliers(multipliers, m):
@@ -242,13 +244,20 @@ def solve_min_volume(cs, degree, config=None, start=None):
             except NotInConeError:
                 gvec = None
     if gvec is None:
-        base = HomogeneousPoly.sum_of_powers(n, degree)
-        top = float(np.max(base(points)))
-        scale0 = 1.0 / ((1.0 + config.feasibility_margin) * top) if top > 0 else 1.0
-        gvec = (base * scale0).coeff_vector.copy()
+        gvec = initial_guess(points, degree,
+                             config.feasibility_margin).coeff_vector.copy()
 
     hint = {}
     hint_phi = {}     # separate ladder memory: phi needs only the mass slice
+
+    def derivatives(vec, t):
+        y0, grad_f, hess_f, mv = objective_grad_hess(
+            HomogeneousPoly(n, degree, vec), spec, hint)
+        slack = 1.0 - V @ vec
+        grad = t * grad_f + V.T @ (1.0 / slack)
+        hess = t * hess_f + (V / slack[:, None] ** 2).T @ V
+        phi = t * y0 - float(np.sum(np.log(slack)))
+        return y0, phi, grad, hess, mv
 
     def barrier_value(vec, t):
         s = 1.0 - V @ vec
@@ -269,54 +278,12 @@ def solve_min_volume(cs, degree, config=None, start=None):
 
     for stage in range(config.max_stages):
         stages += 1
-        best_dec2 = np.inf
-        stall = 0
-        y0 = None
-        mv_full = None
-        for _ in range(config.max_newton_iters):
-            g_cur = HomogeneousPoly(n, degree, gvec)
-            y0, grad_f, hess_f, mv_full = objective_grad_hess(g_cur, spec, hint)
-            slack = 1.0 - V @ gvec
-            grad = t * grad_f + V.T @ (1.0 / slack)
-            hess = t * hess_f + (V / slack[:, None] ** 2).T @ V
-
-            step = _newton_step(hess, grad)
-            dec2 = float(-grad @ step)
-            if dec2 <= 0.0:
-                break
-            # scale-aware decrement threshold; see module docstring
-            if dec2 / 2.0 <= 1e-17 * t * max(y0, 1e-8):
-                break
-            if dec2 < 0.5 * best_dec2:
-                best_dec2 = dec2
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 6:
-                    break
-
-            phi0 = t * y0 - float(np.sum(np.log(slack)))
-            armijo = config.armijo_slope * (grad @ step)
-            alpha = 1.0
-            accepted = False
-            while alpha > 1e-14:
-                trial = gvec + alpha * step
-                phi = barrier_value(trial, t)
-                if np.isfinite(phi) and phi <= phi0 + alpha * armijo:
-                    gvec = trial
-                    accepted = True
-                    break
-                alpha *= config.backtrack_ratio
-            total_newton += 1
-            if not accepted:
-                break
-            if total_newton >= config.max_newton_iters:
-                break
-
+        gvec, steps, state = _newton_stage(
+            gvec, t, derivatives, barrier_value, config,
+            config.max_newton_iters - total_newton)
+        total_newton += steps
+        y0, mv_full = state[0], state[-1]
         slack = 1.0 - V @ gvec
-        if mv_full is None:
-            g_cur = HomogeneousPoly(n, degree, gvec)
-            y0, _, _, mv_full = objective_grad_hess(g_cur, spec, hint)
 
         if m / t <= config.kkt_tolerance * y0:
             yd = mv_full.vector_d()
@@ -355,6 +322,56 @@ def solve_min_volume(cs, degree, config=None, start=None):
         f"barrier stage cap {config.max_stages} reached without meeting "
         f"tolerance (last residual {last_res:.3e})"
     )
+
+
+def _newton_stage(x, t, derivatives, barrier_value, config, budget):
+    """Damped Newton on one barrier function Phi_t, from x.
+
+    derivatives(x, t) returns (y0, Phi_t(x), gradient, Hessian, ...) and
+    barrier_value(x, t) returns Phi_t(x), or +inf outside the domain.  An
+    indefinite Hessian is made positive definite by the escalating ridge
+    of _newton_step, so every step is a descent direction.  Stops on the
+    scale-aware decrement test (see the module docstring), after six
+    steps that fail to halve the decrement, when the line search finds no
+    Armijo point, or after `budget` (>= 1) steps.
+
+    Returns (x, steps taken, the last derivatives(...) tuple).
+    """
+    best_dec2 = np.inf
+    stall = 0
+    steps = 0
+    for _ in range(budget):
+        state = derivatives(x, t)
+        y0, phi0, grad, hess = state[:4]
+        step = _newton_step(hess, grad)
+        dec2 = float(-grad @ step)
+        if dec2 <= 0.0:
+            break
+        if dec2 / 2.0 <= 1e-17 * t * max(y0, 1e-8):
+            break
+        if dec2 < 0.5 * best_dec2:
+            best_dec2 = dec2
+            stall = 0
+        else:
+            stall += 1
+            if stall >= 6:
+                break
+
+        armijo = config.armijo_slope * (grad @ step)
+        alpha = 1.0
+        accepted = False
+        while alpha > 1e-14:
+            trial = x + alpha * step
+            phi = barrier_value(trial, t)
+            if np.isfinite(phi) and phi <= phi0 + alpha * armijo:
+                x = trial
+                accepted = True
+                break
+            alpha *= config.backtrack_ratio
+        steps += 1
+        if not accepted:
+            break
+    return x, steps, state
 
 
 def _residual_from_parts(V, lam, yd, slack, y0):

@@ -202,6 +202,9 @@ def test_mode_p_recovers_center(tmp_path):
     assert np.allclose(payload["center"], [1.0, 1.0], atol=1e-3)
     assert payload["volume"] == pytest.approx(2.0 * PI, rel=1e-4)
     assert payload["outer"]["inner_solves"] > 0
+    assert payload["outer"]["joint_stages"] > 0
+    assert payload["outer"]["center_stationarity"] <= 1e-5
+    assert payload["outer"]["fallback"] is None
 
 
 def test_reports_are_reproducible(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from conftest import philox
 from homfit import (HomogeneousPoly, MultiIndex, NotInConeError, compose_linear,
                     enumerate_basis, min_on_sphere)
-from homfit.polynomials import (basis_for, check_in_cone, monomial_matrix,
+from homfit.polynomials import (basis_for, check_in_cone, monomial_hessian,
+                                monomial_jacobian, monomial_matrix,
                                 positivity_floor)
 
 
@@ -85,6 +86,26 @@ def test_gradient_examples_and_euler():
         x = rng.normal(size=n)
         euler = float(np.dot(g.gradient(x), x)) - d * g(x)
         assert abs(euler) <= 1e-12 * (1.0 + abs(d * g(x)))
+
+
+def test_monomial_derivatives_match_differences():
+    rng = philox(23)
+    h = 1e-6
+    for n, d in [(1, 4), (2, 2), (2, 6), (3, 4)]:
+        exps = basis_for(n, d).exponents
+        x = rng.normal(size=(3, n))
+        jac = monomial_jacobian(x, exps)
+        hess = monomial_hessian(x, exps)
+        assert jac.shape == (3, len(exps), n) and hess.shape == (3, len(exps), n, n)
+        for j in range(n):
+            e = h * np.eye(n)[j]
+            fd = (monomial_matrix(x + e, exps) - monomial_matrix(x - e, exps)) / (2 * h)
+            assert np.allclose(jac[:, :, j], fd, rtol=1e-6, atol=1e-6)
+            fd2 = (monomial_jacobian(x + e, exps) - monomial_jacobian(x - e, exps)) / (2 * h)
+            assert np.allclose(hess[:, :, :, j], fd2, rtol=1e-6, atol=1e-6)
+        g = HomogeneousPoly(n, d, rng.normal(size=len(exps)))
+        grad = np.einsum("ikj,k->ij", jac, g.coeff_vector)
+        assert np.allclose(grad, g.gradient(x), rtol=1e-12, atol=1e-12)
 
 
 def test_min_on_sphere_values():
