@@ -31,7 +31,6 @@ from .certificate import build_certificate
 from .constraints import KDescription, inclusion_check, to_constraints
 from .errors import (CertificateError, ConvergenceError, DegenerateInputError,
                      EmptySetError, InfeasibleError, NotInConeError)
-from .integrals import QuadratureSpec
 from .oracle import mvee_symmetric
 from .polynomials import positivity_floor
 from .solver import SolverConfig, solve_min_volume
@@ -52,10 +51,9 @@ class JobConfig:
     mode: str = "p0"                 # 'p0' fixes the center at the origin
     budget: int = 2000
     seed: int = 0
-    tol: float | None = None         # None: pick by dimension
+    tol: float | None = None         # None: the SolverConfig default
     out: str | None = None
     contours: int | None = None
-    quadrature: QuadratureSpec | None = None
 
     def validate(self):
         if self.degree < 2 or self.degree % 2:
@@ -86,7 +84,7 @@ def build_parser():
                         help="sample budget for semialgebraic sets (default 2000)")
     parser.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     parser.add_argument("--tol", type=float, default=None,
-                        help="KKT tolerance (default: 1e-8, or 1e-6 when n=3)")
+                        help="KKT tolerance (default 1e-8)")
     parser.add_argument("--out", default=None,
                         help="write the JSON report here (default: stdout)")
     parser.add_argument("--contours", type=int, default=None, metavar="N",
@@ -141,20 +139,6 @@ def load_description(path):
     if any(len(r) != width for r in rows):
         raise ValueError(f"{path}: rows have inconsistent dimension")
     return KDescription.from_points(rows)
-
-
-def _auto_tol(n, tol):
-    if tol is not None:
-        return tol
-    return 1e-6 if n == 3 else 1e-8
-
-
-def _auto_quadrature(n, quadrature):
-    if quadrature is not None:
-        return quadrature
-    if n == 3:
-        return QuadratureSpec(angular_points=2048, tolerance=1e-8, max_points=1 << 18)
-    return QuadratureSpec()
 
 
 def _q_matrix_from_coeffs(g):
@@ -237,7 +221,7 @@ def emit_contours(g, center, resolution, path):
                     writer.writerow(tri_row(b, c, e))
 
 
-def _report_payload(job, k, cs, mode, degree, report, center, cert, audit, quad):
+def _report_payload(cs, mode, degree, report, center, cert, audit, quad, quad_tol):
     g = report.g_star
     payload = {
         "mode": mode,
@@ -260,11 +244,10 @@ def _report_payload(job, k, cs, mode, degree, report, center, cert, audit, quad)
             "witness": [float(v) for v in audit.witness],
         },
         "quadrature": {
-            "scheme": quad.get("scheme"),
             "points": quad.get("points"),
             "converged": quad.get("converged"),
             "last_delta": quad.get("last_delta"),
-            "tolerance": job_quad_tol(job, g.n),
+            "tolerance": quad_tol,
         },
         "oracle": None,
     }
@@ -285,10 +268,6 @@ def _report_payload(job, k, cs, mode, degree, report, center, cert, audit, quad)
     return payload
 
 
-def job_quad_tol(job, n):
-    return _auto_quadrature(n, job.quadrature).tolerance
-
-
 def run(job):
     """Execute a job; returns the process exit code.
 
@@ -303,9 +282,8 @@ def run(job):
         _emit_error("parse", str(exc))
         return EXIT_PARSE
 
-    quad = _auto_quadrature(k.n, job.quadrature)
-    tol = _auto_tol(k.n, job.tol)
-    config = SolverConfig(kkt_tolerance=tol, quadrature=quad)
+    config = (SolverConfig() if job.tol is None
+              else SolverConfig(kkt_tolerance=job.tol))
 
     try:
         cs = to_constraints(k, budget=job.budget, seed=job.seed)
@@ -316,14 +294,15 @@ def run(job):
             report = solve_min_volume(cs, job.degree, config)
             center = np.zeros(k.n)
         try:
-            cert = build_certificate(report, _shifted(cs, center), quad)
+            cert = build_certificate(report, _shifted(cs, center), config.quadrature)
         except CertificateError:
             cert = None
         audit = inclusion_check(report.g_star, center, k,
                                 audit_budget=job.budget, seed=job.seed + 1)
         quad_info = getattr(report.moment_data, "quadrature_info", {}) or {}
-        payload = _report_payload(job, k, cs, job.mode, job.degree, report,
-                                  center, cert, audit, quad_info)
+        payload = _report_payload(cs, job.mode, job.degree, report, center,
+                                  cert, audit, quad_info,
+                                  config.quadrature.tolerance)
         if job.mode == "p":
             payload["outer"] = {
                 "iterations": centered.outer_iterations,

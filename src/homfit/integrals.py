@@ -8,8 +8,10 @@ closed form gives, for any multi-index a,
            = Gamma((n+|a|)/d) / d * Integral_{S^{n-1}} u^a g(u)^{-(n+|a|)/d} dS(u),
 
 so every moment is a smooth integral over the unit sphere.  The sphere
-integral is evaluated on a deterministic grid whose resolution doubles
-until two consecutive levels agree to the requested tolerance.
+integral is evaluated on the Gauss product grid of `spheres`, whose
+resolution doubles until two consecutive levels agree to the requested
+tolerance.  Gauss levels are not nested, so the self-check compares the
+accuracy of two rules rather than refining one.
 
 Two identities tie the moments together and are used as cross-checks
 elsewhere:
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import NotInConeError
 from .polynomials import (HomogeneousPoly, MultiIndex, basis_for,
                           monomial_matrix, positivity_floor)
-from .spheres import resolution_for_budget, sphere_grid
+from .spheres import grid_size, resolution_for_budget, sphere_grid
 
 __all__ = [
     "QuadratureSpec",
@@ -45,23 +47,17 @@ __all__ = [
     "CrosscheckResult",
 ]
 
-_SCHEMES = {1: "pair", 2: "circle_uniform", 3: "fibonacci_sphere", 4: "product_gauss"}
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Angular quadrature settings.
 
     angular_points is the starting grid size (doubled until converged or
     max_points would be exceeded); tolerance is the relative agreement
-    required between consecutive doublings; scheme may pin a named rule
-    ('circle_uniform', 'fibonacci_sphere', 'product_gauss') and must then
-    match the dimension it is used in.
+    required between consecutive doublings.
     """
 
     angular_points: int = 64
     tolerance: float = 1e-10
-    scheme: str | None = None
     max_points: int = 1 << 20
 
     def __post_init__(self):
@@ -71,16 +67,6 @@ class QuadratureSpec:
             raise ValueError("tolerance must be positive")
         if self.max_points < self.angular_points:
             raise ValueError("max_points must be >= angular_points")
-        if self.scheme is not None and self.scheme not in _SCHEMES.values():
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-
-    def scheme_for(self, n):
-        default = _SCHEMES.get(n)
-        if default is None:
-            raise ValueError(f"no quadrature scheme for n={n} (supported: 1..4)")
-        if self.scheme is not None and n != 1 and self.scheme != default:
-            raise ValueError(f"scheme {self.scheme!r} does not apply in dimension {n}")
-        return default
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -157,7 +143,6 @@ def _angular_integrals(g, slices, spec, hint=None):
     still runs either way.
     """
     n, d = g.n, g.degree
-    scheme = spec.scheme_for(n)
     floor = positivity_floor(g)
     coeffs = g.coeff_vector
 
@@ -191,11 +176,7 @@ def _angular_integrals(g, slices, spec, hint=None):
 
     if n == 1:
         totals, count = level(1)
-        return totals, {"scheme": scheme, "points": count, "converged": True,
-                        "last_delta": 0.0}
-
-    def realized(resolution):
-        return 2 * resolution ** 3 if n == 4 else resolution
+        return totals, {"points": count, "converged": True, "last_delta": 0.0}
 
     def slicewise_ok(cur, prev):
         worst = 0.0
@@ -218,14 +199,14 @@ def _angular_integrals(g, slices, spec, hint=None):
             if ok:
                 if hint is not None:
                     hint["res"] = res
-                return totals, {"scheme": scheme, "points": count,
-                                "converged": True, "last_delta": delta}
+                return totals, {"points": count, "converged": True,
+                                "last_delta": delta}
         prev = totals
-        if realized(res * 2) > spec.max_points:
+        if grid_size(n, res * 2) > spec.max_points:
             if hint is not None:
                 hint["res"] = res
-            return totals, {"scheme": scheme, "points": count,
-                            "converged": False, "last_delta": delta}
+            return totals, {"points": count, "converged": False,
+                            "last_delta": delta}
         res *= 2
 
 

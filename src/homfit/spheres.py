@@ -1,18 +1,17 @@
 """Deterministic unit-sphere grids shared by the minimizer and quadrature.
 
-Each builder returns (points, weights) with points of shape (M, n) on the
-unit sphere and weights summing to the sphere's surface measure, so that
+Each grid is (points, weights) with points of shape (M, n) on the unit
+sphere and weights summing to the sphere's surface measure, so that
 sum(w_i f(u_i)) approximates the surface integral of f.
 
-Schemes by dimension:
-
 * n = 1: the two-point sphere {-1, +1}, weight 1 each (counting measure).
-* n = 2: uniform angles on the circle (trapezoid rule, spectrally
-  accurate for smooth periodic integrands).
-* n = 3: Fibonacci sphere; equal weights 4*pi/M.  Quasi-Monte-Carlo,
-  error decays like M^-1.5 for smooth integrands.
-* n = 4: product rule, Gauss-Legendre in the two polar angles (with
-  sin^2 and sin weight factors) crossed with uniform azimuth.
+* n >= 2: one product rule.  S^1 gets r uniform angles (trapezoid rule,
+  spectrally accurate for smooth periodic integrands).  Each further
+  dimension k = 3..n writes u = (sqrt(1 - t^2) v, t) with v on S^(k-2),
+  so that dS = (1 - t^2)^((k-3)/2) dt dS(v), and crosses r // 2 Gauss
+  nodes for that weight with the rule one dimension down.  The grid has
+  r * (r // 2)^(n-2) points and integrates every monomial of degree at
+  most 2 * (r // 2) - 1 exactly.
 """
 
 from functools import lru_cache
@@ -21,8 +20,6 @@ import math
 import numpy as np
 
 __all__ = ["sphere_grid", "sphere_surface_area"]
-
-_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
 def sphere_surface_area(n):
@@ -37,73 +34,65 @@ def _circle(m):
     return points, weights
 
 
-def _fibonacci(m):
-    i = np.arange(m)
-    z = 1.0 - (2.0 * i + 1.0) / m      # midpoints, avoids the poles
-    phi = _GOLDEN_ANGLE * i
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    points = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    weights = np.full(m, 4.0 * math.pi / m)
+def _gauss(m, a):
+    # Golub-Welsch: m-node Gauss rule for the weight (1 - t^2)^a on (-1, 1)
+    j = np.arange(1.0, m)
+    off = np.sqrt(j * (j + 2.0 * a) / ((2.0 * j + 2.0 * a) ** 2 - 1.0))
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mass = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
+    return nodes, mass * vecs[0] ** 2
+
+
+def _product(n, r):
+    points, weights = _circle(r)
+    for k in range(3, n + 1):
+        t, tw = _gauss(r // 2, (k - 3) / 2.0)
+        scaled = np.sqrt(1.0 - t * t)[:, None, None] * points[None]
+        points = np.column_stack([scaled.reshape(-1, k - 1),
+                                  np.repeat(t, len(weights))])
+        weights = np.outer(tw, weights).ravel()
     return points, weights
 
 
-def _product_s3(axis):
-    # x = (cos a, sin a cos b, sin a sin b cos c, sin a sin b sin c)
-    # dS = sin^2 a * sin b da db dc,  a, b in (0, pi), c in (0, 2*pi)
-    nodes, gl_w = np.polynomial.legendre.leggauss(axis)
-    ang = (nodes + 1.0) * (math.pi / 2.0)
-    ang_w = gl_w * (math.pi / 2.0)
-    mc = 2 * axis
-    azi = 2.0 * math.pi * np.arange(mc) / mc
-    azi_w = 2.0 * math.pi / mc
+# The benchmark tracer in perfbench/spans.py counts grid builds under the
+# names of the former per-dimension builders; these aliases exist only
+# for it.
+_fibonacci = _product_s3 = _product
 
-    a = ang[:, None, None]
-    b = ang[None, :, None]
-    c = azi[None, None, :]
-    x0 = np.broadcast_to(np.cos(a), (axis, axis, mc))
-    x1 = np.broadcast_to(np.sin(a) * np.cos(b), (axis, axis, mc))
-    x2 = np.sin(a) * np.sin(b) * np.cos(c)
-    x3 = np.sin(a) * np.sin(b) * np.sin(c)
-    points = np.stack([x0.ravel(), x1.ravel(), x2.ravel(), x3.ravel()], axis=1)
-    w = (ang_w * np.sin(ang) ** 2)[:, None, None] * (ang_w * np.sin(ang))[None, :, None]
-    weights = (np.broadcast_to(w, (axis, axis, mc)) * azi_w).ravel()
-    return points, weights
+
+def grid_size(n, resolution):
+    """Point count of sphere_grid(n, resolution) for n >= 2."""
+    r = max(int(resolution), 4)
+    return r * (r // 2) ** (n - 2)
 
 
 def resolution_for_budget(n, budget):
-    """Scheme resolution giving roughly `budget` points (n=4: axis count)."""
+    """Resolution whose grid has roughly `budget` points, for n >= 2:
+    solves r * (r/2)^(n-2) = budget."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if n == 4:
-        return max(4, round((budget / 2.0) ** (1.0 / 3.0)))
-    return budget
+    return max(4, round((budget * 2.0 ** (n - 2)) ** (1.0 / (n - 1))))
 
 
 @lru_cache(maxsize=128)
 def sphere_grid(n, resolution):
     """Deterministic grid on the unit sphere in R^n.
 
-    `resolution` is the point count for n = 2 (circle) and n = 3
-    (Fibonacci), and the per-axis node count for n = 4 (total 2r^3
-    points).  Doubling `resolution` always produces a strictly finer
-    grid, which the quadrature self-check relies on.  Returns
+    `resolution` r is the number of circle angles (raised to 4 if
+    smaller); see the module docstring for the rule.  Returns
     (points, weights), both read-only.
     """
     n = int(n)
     resolution = int(resolution)
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    if n < 1:
+        raise ValueError(f"no sphere grid for n={n}")
     if n == 1:
         points = np.array([[1.0], [-1.0]])
         weights = np.array([1.0, 1.0])
-    elif n == 2:
-        points, weights = _circle(max(resolution, 4))
-    elif n == 3:
-        points, weights = _fibonacci(max(resolution, 8))
-    elif n == 4:
-        points, weights = _product_s3(max(resolution, 4))
     else:
-        raise ValueError(f"no sphere grid for n={n} (supported: 1..4)")
+        points, weights = _product(n, max(resolution, 4))
     points.setflags(write=False)
     weights.setflags(write=False)
     return points, weights

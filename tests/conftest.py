@@ -46,15 +46,3 @@ def dball8():
     pts = np.array([[1, 0], [-1, 0], [0, 1], [0, -1],
                     [c, c], [c, -c], [-c, c], [-c, -c]])
     return hf.ConstraintSet(pts)
-
-
-@pytest.fixture
-def spec3():
-    """Quadrature/tolerance pairing for n=3 (QMC sphere rule)."""
-    return hf.QuadratureSpec(angular_points=2048, tolerance=1e-8,
-                             max_points=1 << 18)
-
-
-@pytest.fixture
-def cfg3(spec3):
-    return hf.SolverConfig(kkt_tolerance=1e-6, quadrature=spec3)

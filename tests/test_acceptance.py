@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import philox, symmetric_cloud
-from homfit import (ConstraintSet, HomogeneousPoly, QuadratureSpec,
-                    SolverConfig, basis_for, build_certificate,
+from homfit import (ConstraintSet, HomogeneousPoly, SolverConfig,
+                    basis_for, build_certificate,
                     crosscheck_levelset_moment, dball_contact_check,
                     initial_guess, integral_exp, mc_volume, moment_vector,
                     mvee_symmetric, solve_min_volume,
@@ -120,15 +120,13 @@ def test_criterion_03_euler_identity():
 
 def test_criterion_04_d2_oracle_equivalence():
     t0 = time.perf_counter()
-    spec3 = QuadratureSpec(angular_points=2048, tolerance=1e-8, max_points=1 << 18)
-    cfg3 = SolverConfig(kkt_tolerance=1e-6, quadrature=spec3)
     worst_vol = 0.0
     worst_q = 0.0
-    cases = [(2, seed, None) for seed in range(100, 112)] + \
-            [(3, seed, cfg3) for seed in range(200, 208)]
-    for n, seed, cfg in cases:
+    cases = [(2, seed) for seed in range(100, 112)] + \
+            [(3, seed) for seed in range(200, 208)]
+    for n, seed in cases:
         pts = symmetric_cloud(seed, n=n, m=12)
-        rep = solve_min_volume(ConstraintSet(pts), 2, config=cfg)
+        rep = solve_min_volume(ConstraintSet(pts), 2)
         ell = mvee_symmetric(pts)
         worst_vol = max(worst_vol, abs(rep.volume - ell.volume) / ell.volume)
         Q = np.zeros((n, n))
@@ -147,22 +145,22 @@ def test_criterion_04_d2_oracle_equivalence():
             f"worst Q gap {worst_q:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_05_kkt_certificates(disk8, dball8, spec3, cfg3):
+def test_criterion_05_kkt_certificates(disk8, dball8):
     instances = [
-        (disk8, 2, None, None),
-        (ConstraintSet([[2, 0], [0, 1], [-2, 0], [0, -1]]), 2, None, None),
-        (dball8, 4, None, None),
-        (ConstraintSet(symmetric_cloud(30, n=2)), 2, None, None),
-        (ConstraintSet(symmetric_cloud(31, n=2)), 2, None, None),
-        (ConstraintSet(symmetric_cloud(32, n=2)), 2, None, None),
-        (ConstraintSet(symmetric_cloud(33, n=2, m=10)), 4, None, None),
-        (ConstraintSet(symmetric_cloud(34, n=3, m=10)), 2, cfg3, spec3),
+        (disk8, 2),
+        (ConstraintSet([[2, 0], [0, 1], [-2, 0], [0, -1]]), 2),
+        (dball8, 4),
+        (ConstraintSet(symmetric_cloud(30, n=2)), 2),
+        (ConstraintSet(symmetric_cloud(31, n=2)), 2),
+        (ConstraintSet(symmetric_cloud(32, n=2)), 2),
+        (ConstraintSet(symmetric_cloud(33, n=2, m=10)), 4),
+        (ConstraintSet(symmetric_cloud(34, n=3, m=10)), 2),
     ]
     worst = {"moment": 0.0, "mass": 0.0, "level": 0.0}
     atoms_ok = True
-    for cs, d, cfg, spec in instances:
-        rep = solve_min_volume(cs, d, config=cfg)
-        cert = build_certificate(rep, cs, spec)
+    for cs, d in instances:
+        rep = solve_min_volume(cs, d)
+        cert = build_certificate(rep, cs)
         y0 = cert.meta["y0"]
         worst["moment"] = max(worst["moment"], cert.moment_residual / y0)
         worst["mass"] = max(worst["mass"], abs(cert.mass - cert.mass_expected) / y0)

@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import philox
+import homfit
+from conftest import philox, symmetric_cloud
 from homfit import HomogeneousPoly, NotInConeError, integral_exp
 from homfit.cli import emit_contours, main
 
@@ -127,6 +132,27 @@ def test_unreachable_tolerance_exit4(tmp_path, capsys):
     assert code == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "convergence"
+
+
+def test_spatial_cloud_at_default_tolerances(tmp_path):
+    p = tmp_path / "cloud3.csv"
+    write_csv(p, symmetric_cloud(3, n=3, m=30))
+    code, payload, _ = run_job(tmp_path, [p])
+    assert code == 0
+    assert payload["quadrature"]["converged"] is True
+    assert payload["certificate"]["moment_residual"] <= 1e-6 * payload["objective"]
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported inside the functions that need it, which keeps
+    # the command's start-up short
+    src = str(Path(homfit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, homfit; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_contours_circle_exact(tmp_path):

@@ -78,6 +78,17 @@ def test_moment_vector_gaussian():
     expect = {(2, 0): math.pi / 2.0, (1, 1): 0.0, (0, 2): math.pi / 2.0}
     for alpha, val in expect.items():
         assert mv.moments_d[alpha] == pytest.approx(val, abs=1e-12)
+    # n = 5: exp(-|x|^2) factorizes, and Integral t^k exp(-t^2) dt is
+    # Gamma((k+1)/2) for even k, 0 for odd k
+    mv = moment_vector(HomogeneousPoly.sum_of_powers(5, 2), include_2d=True)
+    assert mv.quadrature_info["converged"]
+    assert mv.y0 == pytest.approx(math.pi ** 2.5, rel=1e-12)
+    for alpha, val in {**mv.moments_d, **mv.moments_2d}.items():
+        if any(a % 2 for a in alpha):
+            assert abs(val) <= 1e-12 * mv.y0
+        else:
+            exact = math.prod(math.gamma((a + 1) / 2.0) for a in alpha)
+            assert val == pytest.approx(exact, rel=1e-12)
 
 
 def test_euler_identity_seeded():
@@ -88,8 +99,7 @@ def test_euler_identity_seeded():
         base = HomogeneousPoly.sum_of_powers(n, d)
         pert = HomogeneousPoly(n, d, 0.25 * rng.normal(size=len(basis_for(n, d))))
         g = base + pert
-        spec = QuadratureSpec(angular_points=512, tolerance=1e-9) if n == 3 else None
-        mv = moment_vector(g, spec)
+        mv = moment_vector(g)
         lhs = sum(g.coeff(a) * mv.moments_d[a] for a in basis_for(n, d))
         assert abs(lhs - (n / d) * mv.y0) <= 1e-8 * mv.y0
 
@@ -143,13 +153,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(tolerance=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(angular_points=64, max_points=32)
-    with pytest.raises(ValueError):
-        QuadratureSpec(scheme="nonexistent_rule")
-    spec = QuadratureSpec(scheme="fibonacci_sphere")
-    with pytest.raises(ValueError):
-        spec.scheme_for(2)      # pinned scheme does not apply in n=2
-    with pytest.raises(ValueError):
-        QuadratureSpec().scheme_for(5)
 
 
 def test_hint_reuse_is_consistent():

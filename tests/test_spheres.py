@@ -1,9 +1,13 @@
-"""Angular grids: weight normalization, unit norm, budget mapping."""
+"""Angular grids: weight normalization, unit norm, budget mapping,
+exactness of the product rule."""
+
+import math
 
 import numpy as np
 import pytest
 
-from homfit.spheres import (resolution_for_budget, sphere_grid,
+from homfit.polynomials import basis_for, monomial_matrix
+from homfit.spheres import (grid_size, resolution_for_budget, sphere_grid,
                             sphere_surface_area)
 
 
@@ -14,8 +18,6 @@ def test_surface_areas():
 
 
 def test_weights_sum_to_surface_area():
-    # n=4 weights come from Gauss-Legendre on sin^2(a)*sin(b), which is
-    # only asymptotically exact for the constant; 16 nodes is plenty
     for n, res in [(1, 1), (2, 128), (3, 500), (4, 16)]:
         points, weights = sphere_grid(n, res)
         assert weights.sum() == pytest.approx(sphere_surface_area(n) if n > 1 else 2.0,
@@ -25,21 +27,45 @@ def test_weights_sum_to_surface_area():
 
 
 def test_point_counts():
-    points, _ = sphere_grid(2, 256)
-    assert points.shape == (256, 2)
-    points, _ = sphere_grid(3, 999)
-    assert points.shape == (999, 3)
-    points, _ = sphere_grid(4, 6)           # resolution = per-axis count
-    assert points.shape == (2 * 6 ** 3, 4)
+    # r circle angles times r // 2 Gauss nodes per further dimension
+    for n, res, count in [(2, 256, 256), (3, 64, 64 * 32), (3, 11, 11 * 5),
+                          (4, 6, 6 * 3 * 3), (5, 8, 8 * 4 ** 3)]:
+        points, _ = sphere_grid(n, res)
+        assert points.shape == (count, n)
+        assert grid_size(n, res) == count
 
 
 def test_resolution_for_budget():
     assert resolution_for_budget(2, 64) == 64
-    assert resolution_for_budget(3, 2048) == 2048
-    # n=4 maps a total point budget to a per-axis count: 2 r^3 <= ~budget
-    r = resolution_for_budget(4, 1024)
-    assert 2 * r ** 3 <= 2 * 1024
-    assert r >= 4
+    assert resolution_for_budget(2, 1024) == 1024
+    assert resolution_for_budget(3, 2048) == 64       # 64 * 32 = 2048
+    for n in (3, 4, 5):
+        for budget in (64, 1024, 4096):
+            r = resolution_for_budget(n, budget)
+            assert r >= 4
+            assert budget / 2 <= grid_size(n, r) <= 2 * budget
+    with pytest.raises(ValueError):
+        resolution_for_budget(3, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_product_rule_exact_on_monomials(n):
+    # Integral_{S^(n-1)} u^a dS = 2 prod Gamma((a_i+1)/2) / Gamma((|a|+n)/2)
+    # when every a_i is even, 0 otherwise; r = 16 is exact through degree 15
+    res = 16
+    points, weights = sphere_grid(n, res)
+    for k in range(res - 3):
+        exps = basis_for(n, k).exponents
+        for start in range(0, len(exps), 256):
+            chunk = exps[start:start + 256]
+            got = weights @ monomial_matrix(points, chunk)
+            for a, value in zip(chunk, got):
+                if np.any(a % 2):
+                    assert abs(value) <= 1e-13
+                    continue
+                exact = (2.0 * math.prod(math.gamma((ai + 1) / 2.0) for ai in a)
+                         / math.gamma((k + n) / 2.0))
+                assert abs(value - exact) <= 1e-13 * exact
 
 
 def test_grid_arrays_read_only():
@@ -59,5 +85,7 @@ def test_circle_grid_integrates_trig_exactly():
 
 
 def test_unsupported_dimension():
-    with pytest.raises(ValueError):
-        sphere_grid(5, 64)
+    # every n >= 1 has a grid; there is no sphere in R^0
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            sphere_grid(n, 64)
