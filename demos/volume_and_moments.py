@@ -44,4 +44,4 @@ print("these drive the solver: its gradient is the degree-d moment vector")
 print(f"I_0      = {integral_exp(quartic):.9f}")
 print(f"I_(2,0)  = {moment(quartic, (2, 0)):.9f}")
 print(f"I_(2,2)  = {moment(quartic, (2, 2)):.9f}")
-print(f"I_(1,0)  = {moment(quartic, (1, 0)):.2e}  (odd, vanishes)")
+print(f"I_(1,0)  = {moment(quartic, (1, 0))}  (odd integrand: exactly zero)")

@@ -13,6 +13,10 @@ resolution doubles until two consecutive levels agree to the requested
 tolerance.  Gauss levels are not nested, so the self-check compares the
 accuracy of two rules rather than refining one.
 
+g has even degree, so for even |a| the integrand is even and is summed on
+half_sphere_grid (one node per antipodal pair) at half the cost; point
+counts still count the full grid.  Odd moments are exactly zero.
+
 Two identities tie the moments together and are used as cross-checks
 elsewhere:
 
@@ -34,7 +38,7 @@ import numpy as np
 from .errors import NotInConeError
 from .polynomials import (HomogeneousPoly, MultiIndex, basis_for,
                           monomial_matrix, positivity_floor)
-from .spheres import grid_size, resolution_for_budget, sphere_grid
+from .spheres import grid_size, half_sphere_grid, resolution_for_budget
 
 __all__ = [
     "QuadratureSpec",
@@ -53,7 +57,8 @@ class QuadratureSpec:
 
     angular_points is the starting grid size (doubled until converged or
     max_points would be exceeded); tolerance is the relative agreement
-    required between consecutive doublings.
+    required between consecutive doublings.  Both sizes count the full
+    sphere grid, although only half of its nodes are evaluated.
     """
 
     angular_points: int = 64
@@ -118,20 +123,21 @@ def _hessian_alias(n, degree):
 
 @lru_cache(maxsize=10)
 def _grid_monomials(n, resolution, k):
-    """Full degree-k monomial basis evaluated on the cached sphere grid.
+    """Full degree-k monomial basis evaluated on the cached half grid.
 
     The ladder revisits the same grids on every optimizer iteration, so
     these matrices are worth keeping; they depend only on the grid and
     the slice degree, never on g.
     """
-    points, _ = sphere_grid(n, resolution)
+    points, _ = half_sphere_grid(n, resolution)
     mat = monomial_matrix(points, basis_for(n, k).exponents)
     mat.setflags(write=False)
     return mat
 
 
 def _angular_integrals(g, slices, spec, hint=None):
-    """Sphere integrals of u^a * g(u)^(-(n+k)/d) for each (exponents, k) slice.
+    """Sphere integrals of u^a * g(u)^(-(n+k)/d) for each (exponents, k) slice,
+    k even (the half rule integrates even integrands only).
 
     Returns (list of per-slice arrays, info dict).  Doubles the grid until
     two consecutive levels agree within spec.tolerance (each slice scaled
@@ -147,7 +153,7 @@ def _angular_integrals(g, slices, spec, hint=None):
     coeffs = g.coeff_vector
 
     def level(resolution):
-        points, weights = sphere_grid(n, resolution)
+        points, weights = half_sphere_grid(n, resolution)
         gv = _grid_monomials(n, resolution, d) @ coeffs
         worst = float(gv.min())
         if worst <= floor:
@@ -172,10 +178,10 @@ def _angular_integrals(g, slices, spec, hint=None):
                 totals.append(wr @ _grid_monomials(n, resolution, k))
             else:
                 totals.append(wr @ monomial_matrix(points, exps))
-        return totals, points.shape[0]
+        return totals, 2 * points.shape[0]
 
     if n == 1:
-        totals, count = level(1)
+        totals, count = level(2)
         return totals, {"points": count, "converged": True, "last_delta": 0.0}
 
     def slicewise_ok(cur, prev):
@@ -242,6 +248,8 @@ def moment(g, alpha, spec=None):
     alpha = MultiIndex(alpha)
     if len(alpha) != g.n:
         raise ValueError("multi-index dimension mismatch")
+    if alpha.degree % 2:
+        return 0.0      # odd integrand on a symmetric domain
     exps = np.array([tuple(alpha)], dtype=np.int64)
     totals, _ = _angular_integrals(g, [(exps, alpha.degree)], spec)
     return _radial_factor(g.n, g.degree, alpha.degree) * float(totals[0][0])

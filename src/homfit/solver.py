@@ -335,7 +335,7 @@ def _newton_stage(x, t, derivatives, barrier_value, config, budget):
     steps that fail to halve the decrement, when the line search finds no
     Armijo point, or after `budget` (>= 1) steps.
 
-    Returns (x, steps taken, the last derivatives(...) tuple).
+    Returns (x, steps taken, derivatives(x, t) at the returned x).
     """
     best_dec2 = np.inf
     stall = 0
@@ -371,6 +371,8 @@ def _newton_stage(x, t, derivatives, barrier_value, config, budget):
         steps += 1
         if not accepted:
             break
+    else:       # budget spent on an accepted step: state is for the old x
+        state = derivatives(x, t)
     return x, steps, state
 
 

@@ -12,6 +12,11 @@ sum(w_i f(u_i)) approximates the surface integral of f.
   nodes for that weight with the rule one dimension down.  The grid has
   r * (r // 2)^(n-2) points and integrates every monomial of degree at
   most 2 * (r // 2) - 1 exactly.
+
+For even r the grid is closed under u -> -u with equal weights (the
+circle index moves by r/2, the Gauss nodes are symmetric), so an even
+integrand needs only half_sphere_grid: circle indices j < r/2, weights
+doubled.  resolution_for_budget returns even r for this reason.
 """
 
 from functools import lru_cache
@@ -19,7 +24,7 @@ from functools import lru_cache
 import math
 import numpy as np
 
-__all__ = ["sphere_grid", "sphere_surface_area"]
+__all__ = ["half_sphere_grid", "sphere_grid", "sphere_surface_area"]
 
 
 def sphere_surface_area(n):
@@ -67,11 +72,11 @@ def grid_size(n, resolution):
 
 
 def resolution_for_budget(n, budget):
-    """Resolution whose grid has roughly `budget` points, for n >= 2:
+    """Even resolution whose grid has roughly `budget` points, for n >= 2:
     solves r * (r/2)^(n-2) = budget."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    return max(4, round((budget * 2.0 ** (n - 2)) ** (1.0 / (n - 1))))
+    return 2 * max(2, round((budget * 2.0 ** (n - 2)) ** (1.0 / (n - 1)) / 2))
 
 
 @lru_cache(maxsize=128)
@@ -93,6 +98,21 @@ def sphere_grid(n, resolution):
         weights = np.array([1.0, 1.0])
     else:
         points, weights = _product(n, max(resolution, 4))
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return points, weights
+
+
+@lru_cache(maxsize=128)
+def half_sphere_grid(n, resolution):
+    """sphere_grid(n, resolution) with one node of each antipodal pair, its
+    weight doubled; ValueError for odd resolution (no antipodal closure)."""
+    if int(resolution) % 2:
+        raise ValueError("the half rule needs an even resolution")
+    points, weights = sphere_grid(n, resolution)
+    r = 2 if n == 1 else max(int(resolution), 4)
+    points = points.reshape(-1, r, n)[:, : r // 2].reshape(-1, n)
+    weights = 2.0 * weights.reshape(-1, r)[:, : r // 2].ravel()
     points.setflags(write=False)
     weights.setflags(write=False)
     return points, weights

@@ -72,6 +72,20 @@ def test_single_moments():
         moment(GAUSS2, (1, 1, 1))
 
 
+def test_odd_moments_exactly_zero():
+    quartic3 = HomogeneousPoly(3, 4, {(4, 0, 0): 1.0, (0, 4, 0): 2.0,
+                                      (0, 0, 4): 1.0, (2, 2, 0): 0.5})
+    for g, alphas in [(QUARTIC2, [(1, 0), (0, 3), (2, 1), (5, 2)]),
+                      (quartic3, [(1, 0, 0), (1, 1, 1), (0, 2, 3)])]:
+        for alpha in alphas:
+            assert moment(g, alpha) == 0.0
+    # the dimension check still runs first
+    with pytest.raises(ValueError):
+        moment(GAUSS2, (1, 0, 0))
+    with pytest.raises(ValueError):
+        moment(quartic3, (1, 0))
+
+
 def test_moment_vector_gaussian():
     mv = moment_vector(GAUSS2)
     assert mv.y0 == pytest.approx(math.pi, rel=1e-12)

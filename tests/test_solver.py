@@ -165,3 +165,22 @@ def test_iteration_budget_exhaustion():
     cfg = SolverConfig(max_newton_iters=3, max_stages=2)
     with pytest.raises(ConvergenceError):
         solve_min_volume(ConstraintSet(pts), 2, config=cfg)
+
+
+@pytest.mark.parametrize("pts", [random_cloud(3, n=2, m=30),
+                                 symmetric_cloud(3, n=2, m=15)],
+                         ids=["cloud", "symmetric"])
+def test_budget_cut_reports_state_of_returned_iterate(pts):
+    # A Newton budget that runs out on an accepted step must not leave the
+    # report with the moments of the iterate before that step.
+    cs = ConstraintSet(pts)
+    returned = 0
+    for k in range(64, 80):
+        try:
+            rep = solve_min_volume(cs, 4, SolverConfig(max_newton_iters=k))
+        except ConvergenceError:
+            continue
+        returned += 1
+        gap = abs(rep.objective - integral_exp(rep.g_star)) / rep.objective
+        assert gap <= 1e-13, (k, gap)
+    assert returned > 0

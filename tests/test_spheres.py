@@ -1,14 +1,16 @@
 """Angular grids: weight normalization, unit norm, budget mapping,
-exactness of the product rule."""
+exactness of the product rule, and the antipodal half rule."""
 
 import math
 
 import numpy as np
 import pytest
 
-from homfit.polynomials import basis_for, monomial_matrix
-from homfit.spheres import (grid_size, resolution_for_budget, sphere_grid,
-                            sphere_surface_area)
+from conftest import philox
+from homfit.polynomials import (HomogeneousPoly, basis_for, compose_linear,
+                                monomial_matrix)
+from homfit.spheres import (grid_size, half_sphere_grid, resolution_for_budget,
+                            sphere_grid, sphere_surface_area)
 
 
 def test_surface_areas():
@@ -39,11 +41,18 @@ def test_resolution_for_budget():
     assert resolution_for_budget(2, 64) == 64
     assert resolution_for_budget(2, 1024) == 1024
     assert resolution_for_budget(3, 2048) == 64       # 64 * 32 = 2048
+    assert resolution_for_budget(3, 64) == 12
+    assert resolution_for_budget(4, 64) == 6
     for n in (3, 4, 5):
         for budget in (64, 1024, 4096):
             r = resolution_for_budget(n, budget)
             assert r >= 4
             assert budget / 2 <= grid_size(n, r) <= 2 * budget
+    # even, so that the half rule applies at every ladder level
+    for n in range(2, 7):
+        for budget in (1, 16, 64, 100, 999, 4096, 1 << 20):
+            r = resolution_for_budget(n, budget)
+            assert r >= 4 and r % 2 == 0
     with pytest.raises(ValueError):
         resolution_for_budget(3, 0)
 
@@ -89,3 +98,46 @@ def test_unsupported_dimension():
     for n in (0, -1):
         with pytest.raises(ValueError):
             sphere_grid(n, 64)
+
+
+HALF_CASES = [(2, 16), (3, 12), (4, 10), (5, 8)]
+
+
+@pytest.mark.parametrize("n, res", HALF_CASES)
+def test_grid_closed_under_antipodes(n, res):
+    points, weights = sphere_grid(n, res)
+    gap = np.linalg.norm(points[:, None, :] + points[None, :, :], axis=2)
+    partner = np.argmin(gap, axis=1)
+    assert np.max(gap[np.arange(len(points)), partner]) < 1e-14
+    assert sorted(partner) == list(range(len(points)))
+    assert np.allclose(weights[partner], weights, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n, res", HALF_CASES)
+def test_half_rule_matches_full_rule_on_even_integrands(n, res):
+    # u^a g(u)^(-p) with |a| even and g(-u) = g(u) in the cone
+    rng = philox(400 + n)
+    full_pts, full_w = sphere_grid(n, res)
+    half_pts, half_w = half_sphere_grid(n, res)
+    assert half_pts.shape == (grid_size(n, res) // 2, n)
+    assert half_w.sum() == pytest.approx(sphere_surface_area(n), rel=1e-13)
+    for d in (2, 4):
+        M = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+        g = compose_linear(HomogeneousPoly.sum_of_powers(n, d), M)
+        for _ in range(6):
+            k = 2 * int(rng.integers(0, 4))
+            exps = basis_for(n, k).exponents
+            a = exps[rng.integers(0, len(exps))][None, :]
+            p = (n + k) / d
+            full = full_w * monomial_matrix(full_pts, a)[:, 0] * g(full_pts) ** -p
+            half = half_w * monomial_matrix(half_pts, a)[:, 0] * g(half_pts) ** -p
+            assert abs(half.sum() - full.sum()) <= 1e-13 * np.abs(full).sum()
+
+
+def test_half_rule_rejects_odd_resolution():
+    for n in (1, 2, 3, 4, 5):
+        for res in (5, 11, 17):
+            with pytest.raises(ValueError):
+                half_sphere_grid(n, res)
+    points, weights = half_sphere_grid(1, 2)
+    assert points.tolist() == [[1.0]] and weights.tolist() == [2.0]
