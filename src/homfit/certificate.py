@@ -9,7 +9,9 @@ with total mass sum_j lambda_j = (n/d) * I_0(g*) (take a = each basis
 index, contract with g*'s coefficients, apply the Euler identity and
 g*(x_j) = 1).  A certificate packages the atoms and the numeric residuals
 of these identities so a third party can re-verify them with nothing but
-polynomial evaluations and one quadrature.
+polynomial evaluations and one quadrature.  The atoms carry the solver's
+own multipliers, with no refit; the residuals are measured from them in
+the user's frame.
 
 Atom count can always be reduced to the dimension of the degree-d slice,
 C(n+d-1, d): atoms are points in that slice's moment space, so any excess
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificateError, ReductionError
-from .integrals import DEFAULT_QUADRATURE, moment_vector
-from .polynomials import HomogeneousPoly, MultiIndex, basis_for
+from .integrals import DEFAULT_QUADRATURE, _hessian_alias, moment_vector
+from .polynomials import HomogeneousPoly, basis_for
 from .solver import SolverConfig, solve_min_volume
 
 __all__ = ["KktCertificate", "build_certificate", "caratheodory_reduce",
@@ -84,37 +86,24 @@ def _atom_moment_residual(points, weights, target, n, degree):
 def build_certificate(report, cs, spec=None, reduce_atoms=True):
     """Assemble a certificate from a solve report.
 
-    Contact points are the active constraint points carrying positive
-    polished weight.  Weights are refit against the moment vector in the
-    certificate's own frame (the solver may have optimized in a linearly
-    transformed one), so the reported residual is exactly what a third
-    party recomputes from the published atoms.  With reduce_atoms, the
-    support is thinned to at most C(n+d-1, d) atoms while reproducing
+    The atoms are the points in report.dual_weights, weighted by those
+    multipliers (no refit), against report.moment_data (or a fresh
+    quadrature when the report has none); the residuals are recomputed
+    from the published atoms, as a third party would.  With reduce_atoms,
+    the support is thinned to at most C(n+d-1, d) atoms while reproducing
     the same moments.
     """
-    spec = spec or DEFAULT_QUADRATURE
     g = report.g_star
     n, d = g.n, g.degree
     idx = sorted(report.dual_weights)
     if not idx:
         raise CertificateError("solve report has no active constraints")
     points = cs.points[np.array(idx, dtype=int)]
+    weights = np.array([report.dual_weights[i] for i in idx], dtype=float)
 
     mv = report.moment_data if report.moment_data is not None else moment_vector(g, spec)
     target = mv.vector_d()
     bound = len(basis_for(n, d))
-
-    A = basis_for(n, d).monomials(points).T
-    weights, *_ = np.linalg.lstsq(A, target, rcond=None)
-    floor = -1e-10 * max(float(np.max(np.abs(weights))), 1.0)
-    if np.any(weights < floor):
-        from scipy.optimize import nnls
-        weights, _ = nnls(A, target)
-    weights = np.clip(weights, 0.0, None)
-    keep = weights > 0.0
-    points, weights = points[keep], weights[keep]
-    if points.shape[0] == 0:
-        raise CertificateError("weight refit emptied the support")
 
     if reduce_atoms and len(weights) > bound:
         points, weights = caratheodory_reduce(points, weights, n, d, target)
@@ -221,19 +210,10 @@ def gaussian_moment_matrix(g, spec=None):
     addition; at the optimum this matrix equals contact_moment_matrix of
     the certificate atoms.
     """
-    spec = spec or DEFAULT_QUADRATURE
     n, d = g.n, g.degree
     if d % 2:
         raise ValueError("degree must be even")
-    half = basis_for(n, d // 2)
-    full = basis_for(n, d)
-    mv = moment_vector(g, spec)
-    size = len(half)
-    out = np.empty((size, size))
-    for i, a in enumerate(half):
-        for j, b in enumerate(half):
-            out[i, j] = mv.moments_d[full[full.index_of(tuple(x + y for x, y in zip(a, b)))]]
-    return out
+    return moment_vector(g, spec).vector_d()[_hessian_alias(n, d // 2)]
 
 
 def axis_moment_1d(k, d):

@@ -25,6 +25,7 @@ __all__ = [
     "monomial_matrix",
     "monomial_jacobian",
     "monomial_hessian",
+    "power_matrix",
     "compose_linear",
     "min_on_sphere",
 ]
@@ -350,46 +351,47 @@ class HomogeneousPoly:
         return f"HomogeneousPoly(n={self.n}, d={self.degree}: {body})"
 
 
-def _poly_mul(p, q, n):
-    out = {}
-    for a, ca in p.items():
-        for b, cb in q.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            out[key] = out.get(key, 0.0) + ca * cb
-    return out
+@lru_cache(maxsize=64)
+def _degree_step(n, k):
+    """For |a| = k: lead[a], the first variable with a nonzero exponent,
+    and parent[a], the position of a - e_lead in degree k - 1; for
+    |b| = k - 1: shift[l, b], the position of b + e_l in degree k."""
+    prev, cur = basis_for(n, k - 1), basis_for(n, k)
+    lead = np.argmax(cur.exponents > 0, axis=1)
+    unit = np.eye(n, dtype=np.int64)
+    parent = np.array([prev.index_of(a - unit[j])
+                       for a, j in zip(cur.exponents, lead)], dtype=np.int64)
+    shift = np.array([[cur.index_of(b + unit[l]) for b in prev.exponents]
+                      for l in range(n)], dtype=np.int64)
+    for table in (lead, parent, shift):
+        table.setflags(write=False)
+    return lead, parent, shift
+
+
+def power_matrix(M, d):
+    """Matrix P with (M x)^a = sum_b P[a, b] x^b over the degree-d basis.
+
+    Built degree by degree: for |a| = k with first nonzero exponent j,
+    (M x)^a = (M x)^(a - e_j) * sum_l M[j, l] x_l, so row a of P_k is
+    row a - e_j of P_(k-1) moved to b + e_l and weighted by M[j, l].
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {M.shape}")
+    P = np.ones((1, 1))
+    for k in range(1, d + 1):
+        lead, parent, shift = _degree_step(M.shape[0], k)
+        P, rows = np.zeros((len(parent), len(parent))), P[parent]
+        for l, cols in enumerate(shift):
+            P[:, cols] += M[lead, l][:, None] * rows
+    return P
 
 
 def compose_linear(g, M):
-    """The polynomial h(x) = g(M x), same degree, coefficients expanded.
-
-    Each monomial u^b of g becomes the product of the linear forms
-    (M x)_j repeated b_j times; products are accumulated exponent-wise.
-    """
-    M = np.asarray(M, dtype=float)
-    n, d = g.n, g.degree
-    if M.shape != (n, n):
-        raise ValueError(f"need a {n}x{n} matrix, got {M.shape}")
-    unit = tuple([0] * n)
-    rows = []
-    for j in range(n):
-        row = {}
-        for k in range(n):
-            if M[j, k] != 0.0:
-                e = [0] * n
-                e[k] = 1
-                row[tuple(e)] = M[j, k]
-        rows.append(row)
-    total = {}
-    for beta, c in zip(g.basis, g.coeff_vector):
-        if c == 0.0:
-            continue
-        term = {unit: 1.0}
-        for j, bj in enumerate(beta):
-            for _ in range(bj):
-                term = _poly_mul(term, rows[j], n)
-        for key, value in term.items():
-            total[key] = total.get(key, 0.0) + c * value
-    return HomogeneousPoly(n, d, total)
+    """The polynomial h(x) = g(M x), same degree: h = P_d(M)^T g."""
+    if np.shape(M) != (g.n, g.n):
+        raise ValueError(f"need a {g.n}x{g.n} matrix, got {np.shape(M)}")
+    return HomogeneousPoly(g.n, g.degree, power_matrix(M, g.degree).T @ g.coeff_vector)
 
 
 def _default_budget(n):

@@ -26,7 +26,12 @@ The iteration runs in whitened coordinates (sample scatter = identity).
 Without this, elongated clouds produce optimal coefficients that cancel
 catastrophically when g is evaluated near its sphere minimum, putting a
 hard floor under both quadrature accuracy and the measurable KKT
-residual.  The optimum transforms back exactly, including multipliers.
+residual.  The optimum maps back exactly, with no second quadrature: for
+x = L u the user-frame moments are |det L| P_d(L) times the whitened ones
+(power_matrix) and lambda_i = |det L| lambda_w_i.  The solve fails closed
+(ConvergenceError) if its final quadrature did not converge, or if the
+user-frame g* misses the whitened values at the points by more than
+activity_tol, the slack that separates contacts from interior points.
 """
 
 from __future__ import annotations
@@ -38,9 +43,10 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateInputError, InfeasibleError,
                      NotInConeError)
-from .integrals import (DEFAULT_QUADRATURE, QuadratureSpec, integral_exp,
-                        moment_vector)
-from .polynomials import HomogeneousPoly, basis_for, compose_linear
+from .integrals import (DEFAULT_QUADRATURE, MomentVector, QuadratureSpec,
+                        integral_exp, moment_vector)
+from .polynomials import (HomogeneousPoly, basis_for, check_in_cone,
+                          compose_linear, power_matrix)
 
 __all__ = ["SolverConfig", "SolveReport", "initial_guess", "objective_grad_hess",
            "solve_min_volume", "kkt_residual"]
@@ -79,6 +85,8 @@ class SolveReport:
     kkt_residual is measured in the solver's whitened frame (scatter =
     identity), where it is free of coefficient-cancellation noise; the
     certificate module re-measures residuals in the original frame.
+    The multipliers and moment_data (y0 and the degree-d slice) are exact
+    maps of the final whitened ones; quadrature_info is that call's.
     """
 
     g_star: HomogeneousPoly
@@ -90,14 +98,11 @@ class SolveReport:
     kkt_residual: float
     dual_weights: dict
     active_indices: np.ndarray
-    moment_data: object = None           # MomentVector at g_star
+    moment_data: object = None           # MomentVector at g_star, exact map
 
     def multipliers_array(self, m=None):
         size = m if m is not None else (max(self.dual_weights) + 1 if self.dual_weights else 0)
-        out = np.zeros(size)
-        for i, w in self.dual_weights.items():
-            out[i] = w
-        return out
+        return _dense_multipliers(self.dual_weights, size)
 
 
 def initial_guess(cs, degree, margin=0.01):
@@ -238,7 +243,6 @@ def solve_min_volume(cs, degree, config=None, start=None):
         s = 1.0 - V @ cand.coeff_vector
         if np.all(s > 1e-12):
             try:
-                from .polynomials import check_in_cone
                 check_in_cone(cand)
                 gvec = cand.coeff_vector.copy()
             except NotInConeError:
@@ -291,17 +295,30 @@ def solve_min_volume(cs, degree, config=None, start=None):
             res = _residual_from_parts(V, lam, yd, slack, y0)
             last_res = res
             if res <= config.kkt_tolerance:
+                info = mv_full.quadrature_info
+                if not info["converged"]:
+                    raise ConvergenceError(
+                        f"final quadrature did not converge at {info['points']} "
+                        f"points (ladder delta {info['last_delta']:.3e})")
                 g_out = compose_linear(HomogeneousPoly(n, degree, gvec), W)
+                drift = float(np.max(np.abs(g_out(raw_points) - (1.0 - slack))))
+                if drift > config.activity_tol:
+                    raise ConvergenceError(
+                        f"frame change: user-frame and whitened g* disagree by "
+                        f"{drift:.3e} at the points (activity_tol "
+                        f"{config.activity_tol:.1e})")
                 objective = det_L * y0
-                volume = objective / math.gamma(1.0 + n / degree)
-                weights = {int(i): float(det_L * lam[i])
-                           for i in active if lam[i] > 0.0}
-                mv_orig = moment_vector(g_out, spec, include_2d=False)
+                yd_user = det_L * (power_matrix(L, degree) @ yd)
                 return SolveReport(
-                    g_star=g_out, objective=objective, volume=volume,
+                    g_star=g_out, objective=objective,
+                    volume=objective / math.gamma(1.0 + n / degree),
                     iterations=total_newton, stages=stages, t_final=t,
-                    kkt_residual=res, dual_weights=weights,
-                    active_indices=active, moment_data=mv_orig,
+                    kkt_residual=res, active_indices=active,
+                    dual_weights={int(i): float(det_L * lam[i])
+                                  for i in active if lam[i] > 0.0},
+                    moment_data=MomentVector(n, degree, objective,
+                                             dict(zip(basis, yd_user.tolist())),
+                                             quadrature_info=info),
                 )
             # gap bound met but the polished residual is not: push the
             # path a little further before giving up

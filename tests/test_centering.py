@@ -157,3 +157,18 @@ def test_joint_failure_falls_back(monkeypatch):
     assert rep.evaluations == 2 and rep.outer_iterations == 0
     best = min(rho_of_center(pts.mean(axis=0), cs, 2), rho_of_center(np.zeros(2), cs, 2))
     assert rep.inner.objective == best
+
+
+@pytest.mark.parametrize("seed,volume", [(82, 0.186193), (93, 0.268672)])
+def test_anisotropic_quartic_keeps_joint_center(seed, volume):
+    # the certifying solves at the joint center and the centroid used to
+    # raise NotInConeError in the user-frame moment recompute, and the
+    # fit fell back to the origin at volumes 41.4 and 30.8
+    rng = philox(seed)
+    A = rng.normal(size=(2, 2)) + 1.5 * np.eye(2)
+    m = rng.integers(6, 16)
+    pts = rng.normal(size=(m, 2)) @ A + 2.0 * rng.normal(size=2)
+    rep = solve_min_volume_centered(ConstraintSet(pts), 4)
+    assert rep.meta["chosen"] == "joint"
+    assert rep.volume < 0.3
+    assert rep.volume == pytest.approx(volume, rel=1e-5)

@@ -1,4 +1,5 @@
-"""Certificates: atom refit, Caratheodory reduction, moment identities."""
+"""Certificates: solver multipliers as atoms, Caratheodory reduction,
+moment identities."""
 
 import math
 
@@ -12,6 +13,7 @@ from homfit import (CertificateError, ConstraintSet, HomogeneousPoly,
                     dball_contact_check, gaussian_moment_matrix,
                     solve_min_volume)
 from homfit.certificate import axis_moment_1d
+from homfit.integrals import moment_vector
 
 PI = math.pi
 INT_T2_EXP_T4 = 0.6127083512325889   # [DERIVED] see test_integrals
@@ -48,6 +50,31 @@ def test_four_point_disk_weights():
     assert len(pairs) == 4 and pairs[0][0].shape == (2,)
     d = cert.as_dict()
     assert d["atom_bound"] == 3 and len(d["weights"]) == 4
+
+
+def test_weights_are_the_solver_multipliers():
+    # no second fit: the unreduced atoms carry the report's multipliers
+    pts = np.array([[1.0, 0.2], [-0.3, 1.1], [0.8, -0.9], [-1.2, -0.4],
+                    [0.1, 1.3], [1.4, 0.5]])
+    cs = ConstraintSet(np.concatenate([pts, -pts]))
+    rep = solve_min_volume(cs, 4)
+    cert = build_certificate(rep, cs, reduce_atoms=False)
+    idx = sorted(rep.dual_weights)
+    assert np.array_equal(cert.weights, [rep.dual_weights[i] for i in idx])
+    assert np.array_equal(cert.contact_points, cs.points[idx])
+    assert cert.moment_residual <= 1e-6 * cert.meta["y0"]
+
+
+@pytest.mark.parametrize("n,d", [(2, 4), (2, 6), (3, 4), (3, 6)])
+def test_gaussian_moment_matrix_matches_loop(n, d):
+    rng = np.random.Generator(np.random.Philox(29))
+    g = HomogeneousPoly(n, d, HomogeneousPoly.sum_of_powers(n, d).coeff_vector
+                        + 0.05 * rng.uniform(size=len(basis_for(n, d))))
+    mv = moment_vector(g)
+    half, full = basis_for(n, d // 2), basis_for(n, d)
+    loop = np.array([[mv.moments_d[full[full.index_of(tuple(x + y for x, y in zip(a, b)))]]
+                      for b in half] for a in half])
+    assert np.array_equal(gaussian_moment_matrix(g), loop)
 
 
 def test_caratheodory_reduce_direct():

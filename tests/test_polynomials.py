@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import philox
 from homfit import (HomogeneousPoly, MultiIndex, NotInConeError, compose_linear,
                     enumerate_basis, min_on_sphere)
 from homfit.polynomials import (basis_for, check_in_cone, monomial_hessian,
                                 monomial_jacobian, monomial_matrix,
-                                positivity_floor)
+                                positivity_floor, power_matrix)
 
 
 def test_multiindex_degree_and_keys():
@@ -165,6 +167,35 @@ def test_compose_linear_matches_pointwise():
         for _ in range(5):
             x = rng.normal(size=2)
             assert h(x) == pytest.approx(g(M @ x), rel=1e-10, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
+       degree=st.integers(0, 8))
+def test_power_matrix_matches_pointwise(seed, n, degree):
+    rng = philox(seed)
+    M = rng.normal(size=(n, n))
+    x = rng.normal(size=(6, n))
+    basis = basis_for(n, degree)
+    direct = basis.monomials(x @ M.T)                     # (M x)^a
+    mapped = basis.monomials(x) @ power_matrix(M, degree).T
+    scale = max(1.0, float(np.max(np.abs(direct))))
+    assert np.max(np.abs(direct - mapped)) <= 1e-12 * scale
+
+
+def test_power_matrix_identities():
+    rng = philox(26)
+    A, B = rng.normal(size=(2, 3, 3))
+    for d in (2, 4):
+        assert np.array_equal(power_matrix(np.eye(3), d), np.eye(len(basis_for(3, d))))
+        # (A B x)^a = sum P_A[a, c] (B x)^c: P(AB) = P(A) P(B)
+        assert np.allclose(power_matrix(A @ B, d),
+                           power_matrix(A, d) @ power_matrix(B, d),
+                           rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError):
+        power_matrix(np.ones((2, 3)), 2)
+    with pytest.raises(ValueError):
+        compose_linear(HomogeneousPoly.sum_of_powers(2, 2), np.eye(3))
 
 
 def test_poly_arithmetic():

@@ -7,9 +7,9 @@ import pytest
 
 from conftest import philox, random_cloud, symmetric_cloud
 from homfit import (ConstraintSet, ConvergenceError, DegenerateInputError,
-                    HomogeneousPoly, SolverConfig, initial_guess,
-                    integral_exp, kkt_residual, objective_grad_hess,
-                    solve_min_volume)
+                    HomogeneousPoly, SolverConfig, build_certificate,
+                    initial_guess, integral_exp, kkt_residual, moment_vector,
+                    objective_grad_hess, solve_min_volume)
 
 PI = math.pi
 
@@ -184,3 +184,47 @@ def test_budget_cut_reports_state_of_returned_iterate(pts):
         gap = abs(rep.objective - integral_exp(rep.g_star)) / rep.objective
         assert gap <= 1e-13, (k, gap)
     assert returned > 0
+
+
+@pytest.mark.parametrize("pts,degree", [(random_cloud(3, n=2, m=25), 4),
+                                        (symmetric_cloud(4, n=3, m=10), 2)],
+                         ids=["n2d4", "n3d2"])
+def test_user_frame_moments_are_exact_transforms(pts, degree):
+    # |det L| * P_d(L) * whitened moments equals a fresh quadrature of
+    # g_star in the user's frame, without the solver running one
+    rep = solve_min_volume(ConstraintSet(pts), degree)
+    fresh = moment_vector(rep.g_star)
+    assert rep.moment_data.quadrature_info["converged"] is True
+    assert rep.moment_data.y0 == rep.objective
+    assert rep.moment_data.y0 == pytest.approx(fresh.y0, rel=1e-9)
+    scale = float(np.max(np.abs(fresh.vector_d())))
+    assert np.max(np.abs(rep.moment_data.vector_d() - fresh.vector_d())) <= 1e-9 * scale
+
+
+def test_spatial_n4_quadratic_certifies():
+    # the user-frame moment recompute used to stop unconverged at the
+    # point cap; the exact transform needs no second quadrature
+    cs = ConstraintSet(symmetric_cloud(5, n=4, m=20))
+    rep = solve_min_volume(cs, 2)
+    assert rep.moment_data.quadrature_info["converged"] is True
+    cert = build_certificate(rep, cs)
+    y0 = cert.meta["y0"]
+    assert cert.moment_residual <= 1e-6 * y0
+    assert abs(cert.mass - cert.mass_expected) <= 1e-6 * y0
+
+
+def test_unconverged_final_quadrature_fails_closed():
+    # n = 4, d = 4: the ladder stops at the 2^20 point cap; this used to
+    # return a certificate with moment residual / y0 of about 0.23
+    cs = ConstraintSet(symmetric_cloud(5, n=4, m=20))
+    with pytest.raises(ConvergenceError, match="quadrature did not converge"):
+        solve_min_volume(cs, 4)
+
+
+def test_inaccurate_user_frame_fails_closed():
+    # d = 8 on an anisotropic cloud: float64 coefficients of g_star in the
+    # user's frame miss the whitened values by about 2e-3 (this used to
+    # surface as NotInConeError from the user-frame recompute)
+    cs = ConstraintSet(symmetric_cloud(2, n=2, m=100))
+    with pytest.raises(ConvergenceError, match="frame change"):
+        solve_min_volume(cs, 8)
