@@ -17,6 +17,12 @@ g has even degree, so for even |a| the integrand is even and is summed on
 half_sphere_grid (one node per antipodal pair) at half the cost; point
 counts still count the full grid.  Odd moments are exactly zero.
 
+Each level is summed one axis at a time: the half grid's nodes are
+u = (s_j p_i, t_j), s_j = sqrt(1 - t_j^2), over the last axis's Gauss nodes
+t_j and the (n-1)-dimensional half grid p_i, so u^a = s_j^|a'| t_j^(a_n) p_i^a'
+is summed over i by matrix products with tables cached on the lower grid,
+then over j (for n <= 2 there is one node, t = 0).
+
 Two identities tie the moments together and are used as cross-checks
 elsewhere:
 
@@ -38,7 +44,7 @@ import numpy as np
 from .errors import NotInConeError
 from .polynomials import (HomogeneousPoly, MultiIndex, basis_for,
                           monomial_matrix, positivity_floor)
-from .spheres import grid_size, half_sphere_grid, resolution_for_budget
+from .spheres import grid_size, half_grid_factors, resolution_for_budget
 
 __all__ = [
     "QuadratureSpec",
@@ -121,18 +127,23 @@ def _hessian_alias(n, degree):
     return alias
 
 
-@lru_cache(maxsize=10)
-def _grid_monomials(n, resolution, k):
-    """Full degree-k monomial basis evaluated on the cached half grid.
+def _power_tables(n, resolution, exps):
+    """u^a = outer[j, a] * inner[i, a] on the half grid (module docstring)."""
+    t, _, points, _ = half_grid_factors(n, resolution)
+    head, last = exps[:, :points.shape[1]], exps[:, points.shape[1]:].sum(axis=1)
+    outer = np.sqrt(1.0 - t * t)[:, None] ** head.sum(axis=1) * t[:, None] ** last
+    return outer, monomial_matrix(points, head)
 
-    The ladder revisits the same grids on every optimizer iteration, so
-    these matrices are worth keeping; they depend only on the grid and
-    the slice degree, never on g.
-    """
-    points, _ = half_sphere_grid(n, resolution)
-    mat = monomial_matrix(points, basis_for(n, k).exponents)
-    mat.setflags(write=False)
-    return mat
+
+@lru_cache(maxsize=10)
+def _basis_tables(n, resolution, k):
+    """_power_tables of the full degree-k basis, cached: the ladder revisits
+    the same grids on every optimizer iteration, and the tables depend only
+    on the grid and the slice degree, never on g."""
+    tables = _power_tables(n, resolution, basis_for(n, k).exponents)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _angular_integrals(g, slices, spec, hint=None):
@@ -153,8 +164,9 @@ def _angular_integrals(g, slices, spec, hint=None):
     coeffs = g.coeff_vector
 
     def level(resolution):
-        points, weights = half_sphere_grid(n, resolution)
-        gv = _grid_monomials(n, resolution, d) @ coeffs
+        _, tw, _, weights = half_grid_factors(n, resolution)
+        outer, inner = _basis_tables(n, resolution, d)
+        gv = (outer * coeffs) @ inner.T
         worst = float(gv.min())
         if worst <= floor:
             raise NotInConeError(
@@ -169,16 +181,16 @@ def _angular_integrals(g, slices, spec, hint=None):
             # then divisions
             radial = (prev / gv) if prev is not None else gv ** (-(n + k) / d)
             radial_by_k[k] = radial
-            wr = weights * radial
             if exps.shape[0] == 1 and not exps.any():
-                totals.append(np.array([float(wr.sum())]))
+                totals.append(np.array([float(tw @ (radial @ weights))]))
                 continue
             full = basis_for(n, k).exponents
             if exps.shape == full.shape and np.array_equal(exps, full):
-                totals.append(wr @ _grid_monomials(n, resolution, k))
+                outer, inner = _basis_tables(n, resolution, k)
             else:
-                totals.append(wr @ monomial_matrix(points, exps))
-        return totals, 2 * points.shape[0]
+                outer, inner = _power_tables(n, resolution, exps)
+            totals.append(tw @ ((radial * weights) @ inner * outer))
+        return totals, 2 * tw.size * weights.size
 
     if n == 1:
         totals, count = level(2)

@@ -16,7 +16,9 @@ sum(w_i f(u_i)) approximates the surface integral of f.
 For even r the grid is closed under u -> -u with equal weights (the
 circle index moves by r/2, the Gauss nodes are symmetric), so an even
 integrand needs only half_sphere_grid: circle indices j < r/2, weights
-doubled.  resolution_for_budget returns even r for this reason.
+doubled.  resolution_for_budget returns even r for this reason.  The half
+grid is the last axis's r // 2 Gauss nodes times the half grid one
+dimension down (half_grid_factors), so sums over it go one axis at a time.
 """
 
 from functools import lru_cache
@@ -39,8 +41,10 @@ def _circle(m):
     return points, weights
 
 
-def _gauss(m, a):
-    # Golub-Welsch: m-node Gauss rule for the weight (1 - t^2)^a on (-1, 1)
+def _gauss(k, r):
+    # Golub-Welsch: r // 2-node Gauss rule of the last axis of S^(k-1),
+    # u = (sqrt(1 - t^2) v, t), for its weight (1 - t^2)^((k-3)/2) on (-1, 1)
+    m, a = r // 2, (k - 3) / 2.0
     j = np.arange(1.0, m)
     off = np.sqrt(j * (j + 2.0 * a) / ((2.0 * j + 2.0 * a) ** 2 - 1.0))
     nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
@@ -51,7 +55,7 @@ def _gauss(m, a):
 def _product(n, r):
     points, weights = _circle(r)
     for k in range(3, n + 1):
-        t, tw = _gauss(r // 2, (k - 3) / 2.0)
+        t, tw = _gauss(k, r)
         scaled = np.sqrt(1.0 - t * t)[:, None, None] * points[None]
         points = np.column_stack([scaled.reshape(-1, k - 1),
                                   np.repeat(t, len(weights))])
@@ -116,3 +120,16 @@ def half_sphere_grid(n, resolution):
     points.setflags(write=False)
     weights.setflags(write=False)
     return points, weights
+
+
+@lru_cache(maxsize=128)
+def half_grid_factors(n, resolution):
+    """half_sphere_grid(n, r) as (t, tw, points, weights): for n >= 3 its
+    nodes are (sqrt(1 - t_j^2) p_i, t_j), weights tw_j w_i, j major, with
+    (t, tw) the last axis's Gauss rule and (p, w) half_sphere_grid(n - 1, r);
+    for n <= 2, t = [0], tw = [1] and (p, w) is the half grid itself."""
+    lower = n - 1 if n >= 3 else n
+    t, tw = _gauss(n, max(int(resolution), 4)) if n >= 3 else (np.zeros(1), np.ones(1))
+    t.setflags(write=False)
+    tw.setflags(write=False)
+    return t, tw, *half_sphere_grid(lower, resolution)

@@ -7,15 +7,22 @@ the package must reproduce them through its own sphere quadrature.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import homfit
 from conftest import philox
 from homfit import (HomogeneousPoly, NotInConeError, QuadratureSpec,
                     crosscheck_levelset_moment, integral_exp, moment,
                     moment_vector, volume_sublevel)
-from homfit.polynomials import basis_for
+from homfit.integrals import _angular_integrals
+from homfit.polynomials import basis_for, compose_linear, monomial_matrix
+from homfit.spheres import grid_size, half_sphere_grid
 
 # scipy.integrate.quad oracles, frozen (see module docstring)
 INT_EXP_T4 = 1.8128049541109543        # Integral_R exp(-t^4) dt
@@ -188,3 +195,59 @@ def test_crosscheck_levelset_moments():
     r = crosscheck_levelset_moment(QUARTIC2, (0, 0), mc_budget=200_000, seed=9)
     assert r.agree
     assert r.lhs == pytest.approx(Y0_QUARTIC, rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_factorised_level_matches_flat_sum(n, d):
+    # reference: the plain sum of w * f over every node of the half grid,
+    # f = u^a g(u)^(-(n+|a|)/d); the ladder contracts one axis at a time.
+    # Both evaluate g in the monomial basis, which loses kappa * eps,
+    # kappa = max sum_a |g_a u^a| / g(u); 1e-12 presumes kappa < 1e4.
+    rng = philox(500 + 10 * n + d)
+    M = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
+    g = compose_linear(HomogeneousPoly.sum_of_powers(n, d), M)
+    single = np.zeros((1, n), dtype=np.int64)
+    single[0, 0] += 2
+    single[0, -1] += d - 2
+    slices = [(np.zeros((1, n), dtype=np.int64), 0),
+              (basis_for(n, d).exponents, d),
+              (basis_for(n, 2 * d).exponents, 2 * d)]
+    for res in (6, 12):
+        # a cap at the first level pins the ladder to resolution res
+        spec = QuadratureSpec(angular_points=grid_size(n, res),
+                              max_points=grid_size(n, res))
+        points, weights = half_sphere_grid(n, res)
+        gv = g(points)
+        terms = monomial_matrix(points, basis_for(n, d).exponents) * g.coeff_vector
+        assert np.max(np.abs(terms).sum(axis=1) / gv) < 1e4
+        for group in (slices, [(single, d)]):
+            totals, info = _angular_integrals(g, group, spec)
+            assert info["points"] == grid_size(n, res)
+            for (exps, k), got in zip(group, totals):
+                f = (gv ** (-(n + k) / d))[:, None] * monomial_matrix(points, exps)
+                gap = np.abs(got - weights @ f)
+                assert np.all(gap <= 1e-12 * (weights @ np.abs(f)))
+
+
+def test_cap_level_memory():
+    # a cold ladder that climbs to the 2^20 point cap at n = 4, d = 4 with
+    # the Hessian slice; its tables live on the 3-dimensional grid
+    script = (
+        "import tracemalloc, numpy as np\n"
+        "from homfit import HomogeneousPoly, QuadratureSpec, moment_vector\n"
+        "from homfit.polynomials import compose_linear\n"
+        "rng = np.random.Generator(np.random.Philox(6))\n"
+        "M = np.eye(4) + 0.3 * rng.normal(size=(4, 4))\n"
+        "g = compose_linear(HomogeneousPoly.sum_of_powers(4, 4), M)\n"
+        "tracemalloc.start()\n"
+        "mv = moment_vector(g, QuadratureSpec(tolerance=1e-15), include_2d=True)\n"
+        "print(mv.quadrature_info['points'], tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = str(Path(homfit.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=300)
+    points, peak = map(int, out.stdout.split())
+    assert points == 221184
+    assert peak < 32 * 2 ** 20

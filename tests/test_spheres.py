@@ -9,8 +9,9 @@ import pytest
 from conftest import philox
 from homfit.polynomials import (HomogeneousPoly, basis_for, compose_linear,
                                 monomial_matrix)
-from homfit.spheres import (grid_size, half_sphere_grid, resolution_for_budget,
-                            sphere_grid, sphere_surface_area)
+from homfit.spheres import (grid_size, half_grid_factors, half_sphere_grid,
+                            resolution_for_budget, sphere_grid,
+                            sphere_surface_area)
 
 
 def test_surface_areas():
@@ -141,3 +142,23 @@ def test_half_rule_rejects_odd_resolution():
                 half_sphere_grid(n, res)
     points, weights = half_sphere_grid(1, 2)
     assert points.tolist() == [[1.0]] and weights.tolist() == [2.0]
+
+
+@pytest.mark.parametrize("res", [6, 12, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_half_grid_is_gauss_times_lower_grid(n, res):
+    t, tw, inner, inner_w = half_grid_factors(n, res)
+    points, weights = half_sphere_grid(n, res)
+    if n <= 2:
+        assert t.tolist() == [0.0] and tw.tolist() == [1.0]
+        assert np.array_equal(inner, points) and np.array_equal(inner_w, weights)
+        return
+    lower, lower_w = half_sphere_grid(n - 1, res)
+    assert np.array_equal(inner, lower) and np.array_equal(inner_w, lower_w)
+    assert t.shape == (res // 2,)
+    # nodes (sqrt(1 - t_j^2) p_i, t_j), weights tw_j w_i, j the major index
+    scaled = np.sqrt(1.0 - t * t)[:, None, None] * lower[None]
+    product = np.column_stack([scaled.reshape(-1, n - 1),
+                               np.repeat(t, len(lower))])
+    assert np.array_equal(points, product)
+    assert np.array_equal(weights, np.outer(tw, lower_w).ravel())
