@@ -2,9 +2,10 @@
 
 At degree 2 the minimum-volume sublevel set of a quadratic form is the
 Loewner-John ellipsoid of the symmetrized points, so an independent
-Khachiyan-style oracle can grade the solver exactly.  At degree 4 no such
-oracle exists; the same convex program simply keeps working, and the
-enclosure hugs the cloud more tightly than any ellipse can.
+ellipsoid oracle (log-det barrier Newton that certifies its own duality
+gap) can grade the solver exactly.  At degree 4 no such oracle exists;
+the same convex program simply keeps working, and the enclosure hugs the
+cloud more tightly than any ellipse can.
 
 Run with matplotlib installed to get enclosure.png; the numbers print
 either way.

@@ -146,10 +146,11 @@ def caratheodory_reduce(points, weights, n, degree, target=None):
     if target is not None:
         before = _atom_moment_residual(points, weights, np.asarray(target), n, degree)
 
+    columns = basis.monomials(points)             # row i: atom i's moment column
     live = [i for i in range(len(weights)) if weights[i] > 0.0]
     while len(live) > bound:
         work = live[:bound + 1]
-        A = basis.monomials(points[work]).T       # (bound, bound+1): wide
+        A = columns[work].T                       # (bound, bound+1): wide
         # the extra right singular vector spans the null space
         _, svals, vt = np.linalg.svd(A)
         z = vt[-1]
@@ -177,12 +178,11 @@ def caratheodory_reduce(points, weights, n, degree, target=None):
         w_new = w - tstar * dz
         w_new[np.abs(w_new) <= 1e-15 * max(float(np.max(w)), 1.0)] = 0.0
         w_new = np.clip(w_new, 0.0, None)
-        for pos_i, i in enumerate(work):
-            weights[i] = w_new[pos_i]
-        survivors = [i for i in live if weights[i] > 0.0]
-        if len(survivors) == len(live):
+        weights[work] = w_new
+        survivors = [i for i in work if weights[i] > 0.0]   # only these changed
+        if len(survivors) == len(work):
             raise ReductionError("pivot failed to remove an atom")
-        live = survivors
+        live = survivors + live[bound + 1:]
 
     keep = np.array(live, dtype=int)
     out_pts = points[keep].copy()

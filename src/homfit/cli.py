@@ -3,7 +3,8 @@
 Reads a point cloud (CSV, one point per row) or a JSON job description,
 fits the minimum-volume enclosing sublevel set, and writes a JSON report
 with the polynomial, volume, KKT certificate, inclusion audit, and (for
-d = 2) a comparison against the independent ellipsoid oracle.
+d = 2) a comparison against the independent ellipsoid oracle, with the
+oracle's certified duality gap.
 
 JSON input is either {"points": [[...], ...]} or
 {"semialgebraic": {"inequalities": [{"2,0": 1.0, ...}, ...],
@@ -262,6 +263,7 @@ def _report_payload(cs, mode, degree, report, center, cert, audit, quad, quad_to
                 "q_matrix": [[float(v) for v in row] for row in ell.Q],
                 "max_q_coeff_gap": float(np.max(np.abs(ell.Q - Qg))),
                 "iterations": ell.iterations,
+                "gap": ell.gap,
             }
         except (DegenerateInputError, ConvergenceError) as exc:
             payload["oracle"] = {"error": str(exc)}

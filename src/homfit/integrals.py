@@ -35,6 +35,7 @@ elsewhere:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -146,6 +147,19 @@ def _basis_tables(n, resolution, k):
     return tables
 
 
+_workspace = threading.local()
+
+
+def _work_arrays(count, rows, cols):
+    """`count` (rows, cols) arrays on one buffer per thread that only grows.
+    Level-sized arrays freed after every call go back to the OS whenever
+    they end on top of the heap, and fault in again on the next call."""
+    size = count * rows * cols
+    if getattr(_workspace, "buf", np.empty(0)).size < size:
+        _workspace.buf = np.empty(size)
+    return _workspace.buf[:size].reshape(count, rows, cols)
+
+
 def _angular_integrals(g, slices, spec, hint=None):
     """Sphere integrals of u^a * g(u)^(-(n+k)/d) for each (exponents, k) slice,
     k even (the half rule integrates even integrands only).
@@ -166,7 +180,8 @@ def _angular_integrals(g, slices, spec, hint=None):
     def level(resolution):
         _, tw, _, weights = half_grid_factors(n, resolution)
         outer, inner = _basis_tables(n, resolution, d)
-        gv = (outer * coeffs) @ inner.T
+        gv, radial, weighted = _work_arrays(3, tw.size, weights.size)
+        np.matmul(outer * coeffs, inner.T, out=gv)
         worst = float(gv.min())
         if worst <= floor:
             raise NotInConeError(
@@ -174,13 +189,15 @@ def _angular_integrals(g, slices, spec, hint=None):
                 f"(sampled value {worst:.3e}); moments diverge"
             )
         totals = []
-        radial_by_k = {}
+        last_k = None
         for exps, k in slices:
-            prev = radial_by_k.get(k - d)
-            # consecutive slices differ by a factor g^{-1}; one real pow,
-            # then divisions
-            radial = (prev / gv) if prev is not None else gv ** (-(n + k) / d)
-            radial_by_k[k] = radial
+            # a slice d above the last differs by a factor g^{-1}; one real
+            # pow, then divisions
+            if last_k == k - d:
+                np.divide(radial, gv, out=radial)
+            else:
+                np.power(gv, -(n + k) / d, out=radial)
+            last_k = k
             if exps.shape[0] == 1 and not exps.any():
                 totals.append(np.array([float(tw @ (radial @ weights))]))
                 continue
@@ -189,7 +206,7 @@ def _angular_integrals(g, slices, spec, hint=None):
                 outer, inner = _basis_tables(n, resolution, k)
             else:
                 outer, inner = _power_tables(n, resolution, exps)
-            totals.append(tw @ ((radial * weights) @ inner * outer))
+            totals.append(tw @ (np.multiply(radial, weights, out=weighted) @ inner * outer))
         return totals, 2 * tw.size * weights.size
 
     if n == 1:

@@ -77,6 +77,45 @@ def test_gaussian_moment_matrix_matches_loop(n, d):
     assert np.array_equal(gaussian_moment_matrix(g), loop)
 
 
+def _reduce_by_rescan(points, weights, n, degree):
+    """The reduction's pivot loop as first written: the moment columns are
+    rebuilt for every pivot and every live atom is rescanned."""
+    weights = np.asarray(weights, dtype=float).copy()
+    basis = basis_for(n, degree)
+    bound = len(basis)
+    live = [i for i in range(len(weights)) if weights[i] > 0.0]
+    while len(live) > bound:
+        work = live[:bound + 1]
+        _, _, vt = np.linalg.svd(basis.monomials(points[work]).T)
+        w = weights[np.array(work)]
+        candidates = []
+        for sign in (+1.0, -1.0):
+            dz = sign * vt[-1]
+            pos = dz > 1e-14
+            if np.any(pos):
+                candidates.append((float(np.min(w[pos] / dz[pos])), sign))
+        tstar, sign = min(candidates, key=lambda c: (c[0], -c[1]))
+        w_new = w - tstar * sign * vt[-1]
+        w_new[np.abs(w_new) <= 1e-15 * max(float(np.max(w)), 1.0)] = 0.0
+        w_new = np.clip(w_new, 0.0, None)
+        for pos_i, i in enumerate(work):
+            weights[i] = w_new[pos_i]
+        live = [i for i in live if weights[i] > 0.0]
+    return points[live], weights[live]
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (3, 6)])
+def test_caratheodory_reduce_matches_rescan(n, d):
+    rng = np.random.Generator(np.random.Philox(100 * n + d))
+    pts = rng.normal(size=(2000, n))
+    w = rng.uniform(0.5, 1.5, size=2000)
+    ref_pts, ref_w = _reduce_by_rescan(pts, w, n, d)
+    out_pts, out_w = caratheodory_reduce(pts, w, n, d)
+    assert len(out_w) <= len(basis_for(n, d))
+    assert np.array_equal(out_pts, ref_pts)
+    assert np.array_equal(out_w, ref_w)
+
+
 def test_caratheodory_reduce_direct():
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     w = np.full(4, PI / 4.0)

@@ -95,6 +95,10 @@ def test_semialgebraic_disk(tmp_path):
     assert payload["provenance"] == "semialgebraic"
     assert payload["volume"] == pytest.approx(PI, rel=1e-3)
     assert payload["inclusion"]["max_violation"] <= 1e-6
+    oracle = payload["oracle"]
+    assert "error" not in oracle
+    assert oracle["volume_rel_gap"] <= 1e-6
+    assert 0.0 <= oracle["gap"] <= 1e-9
 
 
 def test_parse_failures(tmp_path, capsys):

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,9 @@ from conftest import philox
 from homfit import (HomogeneousPoly, NotInConeError, QuadratureSpec,
                     crosscheck_levelset_moment, integral_exp, moment,
                     moment_vector, volume_sublevel)
-from homfit.integrals import _angular_integrals
+from homfit.integrals import _angular_integrals, _basis_tables
 from homfit.polynomials import basis_for, compose_linear, monomial_matrix
-from homfit.spheres import grid_size, half_sphere_grid
+from homfit.spheres import grid_size, half_grid_factors, half_sphere_grid
 
 # scipy.integrate.quad oracles, frozen (see module docstring)
 INT_EXP_T4 = 1.8128049541109543        # Integral_R exp(-t^4) dt
@@ -230,6 +231,31 @@ def test_factorised_level_matches_flat_sum(n, d):
                 assert np.all(gap <= 1e-12 * (weights @ np.abs(f)))
 
 
+@pytest.mark.parametrize("n,d", [(2, 4), (3, 4), (4, 2)])
+def test_level_on_work_arrays_matches_fresh_arrays(n, d):
+    # reference: the same level sums with every array allocated afresh;
+    # the operations are the same, so the totals must be identical
+    rng = philox(700 + 10 * n + d)
+    g = compose_linear(HomogeneousPoly.sum_of_powers(n, d),
+                       rng.normal(size=(n, n)) + 3.0 * np.eye(n))
+    slices = [(np.zeros((1, n), dtype=np.int64), 0),
+              (basis_for(n, d).exponents, d),
+              (basis_for(n, 2 * d).exponents, 2 * d)]
+    for res in (16, 32):
+        spec = QuadratureSpec(angular_points=grid_size(n, res),
+                              max_points=grid_size(n, res))
+        totals, _ = _angular_integrals(g, slices, spec)
+        _, tw, _, weights = half_grid_factors(n, res)
+        outer, inner = _basis_tables(n, res, d)
+        gv = (outer * g.coeff_vector) @ inner.T
+        radial = gv ** (-n / d)
+        assert np.array_equal(totals[0], [float(tw @ (radial @ weights))])
+        for (_, k), got in zip(slices[1:], totals[1:]):
+            radial = radial / gv
+            outer, inner = _basis_tables(n, res, k)
+            assert np.array_equal(got, tw @ ((radial * weights) @ inner * outer))
+
+
 def test_cap_level_memory():
     # a cold ladder that climbs to the 2^20 point cap at n = 4, d = 4 with
     # the Hessian slice; its tables live on the 3-dimensional grid
@@ -251,3 +277,21 @@ def test_cap_level_memory():
     points, peak = map(int, out.stdout.split())
     assert points == 221184
     assert peak < 32 * 2 ** 20
+
+
+def test_warm_ladder_allocates_no_level_arrays():
+    # the level-sized arrays live on one reused buffer; freed and allocated
+    # anew on every call they could go back to the OS and fault in again
+    M = np.eye(3) + 0.3 * philox(8).normal(size=(3, 3))
+    g = compose_linear(HomogeneousPoly.sum_of_powers(3, 4), M)
+    spec = QuadratureSpec(tolerance=1e-15)
+    cold = moment_vector(g, spec, include_2d=True)
+    tracemalloc.start()
+    try:
+        moment_vector(g, spec, include_2d=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    level_bytes = 8 * cold.quadrature_info["points"] // 2
+    assert level_bytes > 2 ** 20
+    assert peak < level_bytes

@@ -1,14 +1,19 @@
 """Reference oracles: symmetric MVEE and Monte-Carlo volume."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import nnls
 
+import homfit.oracle
 from conftest import philox, symmetric_cloud
-from homfit import (DegenerateInputError, HomogeneousPoly, NotInConeError,
-                    mc_volume, mvee_symmetric)
+from homfit import (ConstraintSet, ConvergenceError, DegenerateInputError,
+                    HomogeneousPoly, NotInConeError, mc_volume, mvee_symmetric,
+                    solve_min_volume)
+from homfit.cli import _q_matrix_from_coeffs
 
 VOL_QUARTIC = 3.708149354602744  # [DERIVED] 1-D quadrature, see test_integrals
 
@@ -44,6 +49,59 @@ def test_mvee_random_cloud_containment_and_john(seed):
 def test_mvee_rank_deficient():
     with pytest.raises(DegenerateInputError):
         mvee_symmetric([[1.0, 2.0], [2.0, 4.0], [-0.5, -1.0]])
+
+
+def conditioned_cloud(seed, n, m, cond):
+    """m Gaussian points mapped by a random M with singular values spread
+    geometrically from 1 to cond."""
+    rng = philox(seed)
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    M = U @ np.diag(np.geomspace(1.0, cond, n)) @ V.T
+    return rng.normal(size=(m, n)) @ M.T
+
+
+FAMILY = [(n, m, cond) for n in (2, 3, 4)
+          for m, cond in ((n + 1, 100.0), (40, 10.0), (2000, 100.0))]
+
+
+@pytest.mark.parametrize("n,m,cond", FAMILY)
+def test_mvee_matches_degree2_solver(n, m, cond):
+    pts = conditioned_cloud(10 * n + m, n, m, cond)
+    ell = mvee_symmetric(pts)
+    assert 0.0 <= ell.gap <= 1e-9
+    rep = solve_min_volume(ConstraintSet(pts), 2)
+    assert abs(ell.volume - rep.volume) <= 1e-6 * ell.volume
+    # the report's max_q_coeff_gap bound
+    assert np.max(np.abs(ell.Q - _q_matrix_from_coeffs(rep.g_star))) <= 1e-5
+
+
+@pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (3, 2), (4, 3)])
+def test_mvee_affine_equivariance(n, seed):
+    # the ellipsoid of the points x -> Mx is {y : y'M^-T Q M^-1 y <= 1}
+    pts = conditioned_cloud(seed, n, 30, 10.0)
+    M = philox(seed + 50).normal(size=(n, n)) + 2.0 * np.eye(n)
+    base = mvee_symmetric(pts)
+    moved = mvee_symmetric(pts @ M.T)
+    assert np.max(np.abs(M.T @ moved.Q @ M - base.Q)) <= 1e-7 * np.max(np.abs(base.Q))
+    assert moved.volume == pytest.approx(abs(np.linalg.det(M)) * base.volume, rel=1e-8)
+
+
+def test_mvee_step_budget_reports_gap():
+    with pytest.raises(ConvergenceError, match=r"gap \d\.\d+e[+-]\d+ still above"):
+        mvee_symmetric(symmetric_cloud(4, n=3, m=30), max_iters=3)
+
+
+def test_oracle_imports_neither_solver_nor_quadrature():
+    tree = ast.parse(Path(homfit.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert not imported & {"solver", "integrals", "spheres"}
 
 
 def test_mc_volume_disk():
