@@ -29,7 +29,7 @@ import numpy as np
 
 from .centering import solve_min_volume_centered
 from .certificate import build_certificate
-from .constraints import KDescription, inclusion_check, to_constraints
+from .constraints import ConstraintSet, KDescription, inclusion_check, to_constraints
 from .errors import (CertificateError, ConvergenceError, DegenerateInputError,
                      EmptySetError, InfeasibleError, NotInConeError)
 from .oracle import mvee_symmetric
@@ -158,6 +158,11 @@ def _q_matrix_from_coeffs(g):
     return Q
 
 
+def _check_contour_dimension(n):
+    if n not in (2, 3):
+        raise ValueError(f"contours are only emitted for n in (2, 3), not n={n}")
+
+
 def emit_contours(g, center, resolution, path):
     """Write the level-1 boundary {g(x - center) = 1} to a CSV file.
 
@@ -166,8 +171,7 @@ def emit_contours(g, center, resolution, path):
     """
     if resolution < 3:
         raise ValueError("contour resolution must be >= 3")
-    if g.n not in (2, 3):
-        raise ValueError(f"contours are only emitted for n in (2, 3), not n={g.n}")
+    _check_contour_dimension(g.n)
     center = np.zeros(g.n) if center is None else np.asarray(center, dtype=float)
     d = g.degree
     floor = positivity_floor(g)
@@ -280,6 +284,8 @@ def run(job):
     try:
         job.validate()
         k = load_description(job.input_path)
+        if job.contours is not None:
+            _check_contour_dimension(k.n)
     except ValueError as exc:
         _emit_error("parse", str(exc))
         return EXIT_PARSE
@@ -326,9 +332,6 @@ def run(job):
                             if job.out else "homfit_contours.csv")
             emit_contours(report.g_star, center, job.contours, contour_path)
             payload["contours_path"] = contour_path
-        except ValueError as exc:
-            _emit_error("parse", str(exc))
-            return EXIT_PARSE
         except NotInConeError as exc:
             _emit_error("convergence", str(exc))
             return EXIT_CONVERGENCE
@@ -342,7 +345,6 @@ def run(job):
 
 
 def _shifted(cs, center):
-    from .constraints import ConstraintSet
     if not np.any(center):
         return cs
     return ConstraintSet(cs.points - center, provenance=cs.provenance)

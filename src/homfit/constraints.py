@@ -4,9 +4,9 @@ A set K is given either natively as a finite point list, or as a basic
 semialgebraic description {x in box : w_j(x) >= 0 for all j} with general
 (not necessarily homogeneous) polynomial inequalities.  Semialgebraic
 descriptions are discretized by seeded rejection sampling inside the box,
-followed by a short bisection push of each sample toward the boundary of
-its most binding inequality (the boundary is where enclosing constraints
-end up active, so those points matter most).
+then every sample is pushed, all in one array pass, to the boundary of its
+most binding inequality (the boundary is where enclosing constraints end
+up active, so those points matter most).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptySetError
-from .polynomials import MultiIndex, _differentiate, monomial_matrix
+from .polynomials import MultiIndex, monomial_jacobian, monomial_matrix
 
 __all__ = ["KDescription", "ConstraintSet", "to_constraints", "inclusion_check",
            "InclusionAudit"]
@@ -43,15 +43,6 @@ class _PolyIneq:
     def __call__(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return monomial_matrix(x, self.exponents) @ self.coeffs
-
-    def gradient_at(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(self.n)
-        for j in range(self.n):
-            shifted, factor = _differentiate(self.exponents, (j,))
-            out[j] = float((monomial_matrix(x[None, :], shifted)
-                            @ (self.coeffs * factor))[0])
-        return out
 
 
 class KDescription:
@@ -139,8 +130,9 @@ def to_constraints(k, budget=2000, seed=0):
     semialgebraic descriptions, rejection sampling inside the box keeps
     points satisfying every inequality until `budget` are found; each
     accepted point then contributes a companion pushed to the boundary of
-    its most binding inequality by bracketing plus five bisection steps.
-    Deterministic for a given (description, budget, seed).
+    its most binding inequality by bracketing plus five bisection steps,
+    all samples in lockstep.  Deterministic for a given (description,
+    budget, seed).
 
     Raises EmptySetError if 100 * budget draws produce no acceptance.
     """
@@ -185,42 +177,50 @@ def to_constraints(k, budget=2000, seed=0):
 
 
 def _push_to_boundary(k, points):
-    """For each point, walk downhill on the most binding inequality until
-    it changes sign, then bisect five times; keep the inside endpoint."""
+    """Walk every point downhill on its most binding inequality until it
+    changes sign, then bisect five times; keep the inside end.
+
+    The step starts at 1e-3 * diag(box) along -grad/|grad| and doubles up
+    to 40 times.  All rows move in lockstep: each doubling and each
+    bisection evaluates every inequality once, on the rows still active.
+    A point is dropped if its gradient norm is below 1e-12, a trial step
+    leaves the box or is not finite, no sign change is found, or the end
+    violates an inequality by more than 1e-12.  Output keeps input order.
+    """
     lo, hi = k.box[:, 0], k.box[:, 1]
-    diag = float(np.linalg.norm(hi - lo))
-    vals = np.column_stack([ineq(points) for ineq in k.inequalities])
-    binding = np.argmin(vals, axis=1)
-    out = []
-    for x, j in zip(points, binding):
-        ineq = k.inequalities[j]
-        grad = ineq.gradient_at(x)
-        norm = float(np.linalg.norm(grad))
-        if norm < 1e-12:
-            continue
-        direction = -grad / norm
-        inner, outer = x, None
-        step = 1e-3 * diag
-        for _ in range(40):
-            cand = inner + step * direction
-            if np.any(cand < lo) or np.any(cand > hi) or not np.all(np.isfinite(cand)):
-                break
-            if float(ineq(cand[None, :])[0]) < 0.0:
-                outer = cand
-                break
-            inner = cand
-            step *= 2.0
-        if outer is None:
-            continue
-        for _ in range(5):
-            mid = 0.5 * (inner + outer)
-            if float(ineq(mid[None, :])[0]) >= 0.0:
-                inner = mid
-            else:
-                outer = mid
-        if all(float(q(inner[None, :])[0]) >= -1e-12 for q in k.inequalities):
-            out.append(inner)
-    return np.array(out) if out else np.zeros((0, points.shape[1]))
+
+    def values(x):
+        return np.column_stack([q(x) for q in k.inequalities])
+
+    binding = np.argmin(values(points), axis=1)
+    grad = np.stack([np.einsum("k,mkn->mn", q.coeffs, monomial_jacobian(points, q.exponents))
+                     for q in k.inequalities])[binding, np.arange(len(points))]
+    norm = np.linalg.norm(grad, axis=1)
+    keep = np.flatnonzero(norm >= 1e-12)
+    binding, direction = binding[keep], -grad[keep] / norm[keep, None]
+    inner, outer = points[keep], np.empty((len(keep), k.n))
+    bracketed = np.zeros(len(keep), dtype=bool)
+    walking = np.arange(len(keep))
+    step = 1e-3 * float(np.linalg.norm(hi - lo))
+    for _ in range(40):
+        cand = inner[walking] + step * direction[walking]
+        # NaN and inf fail these comparisons too, so they drop the row
+        inside = np.all((cand >= lo) & (cand <= hi), axis=1)
+        walking, cand = walking[inside], cand[inside]
+        crossed = values(cand)[np.arange(len(cand)), binding[walking]] < 0.0
+        outer[walking[crossed]] = cand[crossed]
+        bracketed[walking[crossed]] = True
+        walking = walking[~crossed]
+        inner[walking] = cand[~crossed]
+        if not walking.size:
+            break
+        step *= 2.0
+    inner, outer, binding = inner[bracketed], outer[bracketed], binding[bracketed]
+    for _ in range(5):
+        mid = 0.5 * (inner + outer)
+        ok = values(mid)[np.arange(len(mid)), binding] >= 0.0
+        inner[ok], outer[~ok] = mid[ok], mid[~ok]
+    return inner[np.all(values(inner) >= -1e-12, axis=1)]
 
 
 class InclusionAudit(NamedTuple):

@@ -224,6 +224,21 @@ def test_contours_validation(tmp_path):
         emit_contours(open_up, None, 16, tmp_path / "x.csv")
 
 
+def test_contours_wrong_dimension_fails_before_sampling(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the contour dimension check")
+
+    for name in ("to_constraints", "solve_min_volume", "solve_min_volume_centered"):
+        monkeypatch.setattr(homfit.cli, name, never)
+    p = tmp_path / "cloud4.csv"
+    write_csv(p, symmetric_cloud(5, n=4, m=20))
+    for mode in ("p0", "p"):
+        code, payload, _ = run_job(tmp_path, [p, "--mode", mode, "--contours", "10"])
+        assert code == 2 and payload is None
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "parse" and "n=4" in err["error"]["message"]
+
+
 def test_mode_p_recovers_center(tmp_path):
     p = tmp_path / "square.csv"
     write_csv(p, [[0, 0], [2, 0], [0, 2], [2, 2]])
