@@ -8,15 +8,17 @@ contact points on {g* = 1}:
 
 with total mass (n/d) * Integral exp(-g*).  Anyone can recheck these
 identities.  This script builds the certificate for an 8-point circle
-instance, thins it by Caratheodory pivoting, and closes with the d-ball
-case where the right side is a product of 1-D integrals in closed form.
+instance, thins it by Caratheodory pivoting, then thins the 2000 contacts
+of a quartic star the same way, where the atoms are first merged into
+blocks and the blocks pivoted.  It closes with the d-ball case where the
+right side is a product of 1-D integrals in closed form.
 """
 
 import numpy as np
 
-from homfit import (ConstraintSet, build_certificate, contact_moment_matrix,
-                    dball_contact_check, gaussian_moment_matrix,
-                    solve_min_volume)
+from homfit import (ConstraintSet, HomogeneousPoly, build_certificate,
+                    contact_moment_matrix, dball_contact_check,
+                    gaussian_moment_matrix, solve_min_volume)
 
 sq = 1.0 / np.sqrt(2.0)
 octagon = ConstraintSet([[1, 0], [0, 1], [-1, 0], [0, -1],
@@ -37,6 +39,19 @@ M_atoms = contact_moment_matrix(red.contact_points, red.weights, 2, 1)
 M_cont = gaussian_moment_matrix(rep.g_star)
 print("atomic vs continuous moment matrix, entrywise gap "
       f"{np.max(np.abs(M_atoms - M_cont)):.2e}")
+
+print()
+print("== 2000 contact points on a quartic star, degree 4 ==")
+star = HomogeneousPoly(2, 4, {(2, 2): 1.0, (4, 0): 0.1, (0, 4): 0.1})
+theta = 2.0 * np.pi * np.arange(2000) / 2000
+units = np.column_stack([np.cos(theta), np.sin(theta)])
+star_pts = ConstraintSet(units * (star(units) ** -0.25)[:, None])
+rep = solve_min_volume(star_pts, 4)
+cert = build_certificate(rep, star_pts)
+print(f"{len(rep.dual_weights)} contacts merged into blocks and pivoted down to "
+      f"{len(cert.weights)} atoms (bound {cert.atom_bound})")
+print(f"moment residual / I_0 {cert.moment_residual / cert.meta['y0']:.2e}, "
+      f"mass {cert.mass:.9f} vs expected {cert.mass_expected:.9f}")
 
 print()
 print("== the d-ball corollary, degree 4 ==")

@@ -15,7 +15,9 @@ the user's frame.
 
 Atom count can always be reduced to the dimension of the degree-d slice,
 C(n+d-1, d): atoms are points in that slice's moment space, so any excess
-atom set carries an affine dependency to pivot away (Caratheodory).
+atom set carries an affine dependency to pivot away (Caratheodory).  The
+reduction pivots merged blocks of atoms rather than single atoms, so N
+atoms take O(C(n+d-1, d) * log N) pivots instead of N.
 """
 
 from __future__ import annotations
@@ -127,12 +129,16 @@ def caratheodory_reduce(points, weights, n, degree, target=None):
     """Thin an atomic measure to at most C(n+d-1, d) atoms with the same
     degree-d moments.
 
-    Streaming pivoting: take bound+1 atoms, find a null vector of their
-    moment columns (last right singular vector of the wide matrix), shift
-    weights along it until the smallest ratio hits zero (deterministic
-    pivot: smallest ratio, lowest index on ties), drop the zeroed atoms,
-    refill, repeat.  Moments are invariant at every step because the
-    shift direction is in the null space.
+    Block merging (Litterer & Lyons; the Fast-Caratheodory scheme of
+    Maalouf, Jubran & Feldman): while more than 2*bound atoms are live,
+    split them in input order into 2*bound contiguous blocks, give each
+    block its mass and mass-weighted mean moment column, pivot the blocks
+    down to at most bound, and rescale every atom by its block's
+    new-to-old mass ratio.  Each round about halves the live atoms, so
+    the pivots number at most bound * (ceil(log2(N / bound)) + 1) instead
+    of N - bound.  The last <= 2*bound atoms are pivoted one by one.
+    Every step shifts weights along a null vector of the moment columns,
+    so the moments are kept and the output is a subset of the input atoms.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     weights = np.asarray(weights, dtype=float).copy()
@@ -143,10 +149,46 @@ def caratheodory_reduce(points, weights, n, degree, target=None):
     if points.shape[0] != weights.shape[0]:
         raise ValueError("points and weights disagree in length")
 
-    if target is not None:
-        before = _atom_moment_residual(points, weights, np.asarray(target), n, degree)
-
     columns = basis.monomials(points)             # row i: atom i's moment column
+    if target is not None:
+        target = np.asarray(target)
+        before = float(np.max(np.abs(columns.T @ weights - target)))
+
+    live = np.flatnonzero(weights > 0.0)
+    blocks = 2 * bound
+    while len(live) > blocks:
+        starts = np.arange(blocks) * len(live) // blocks
+        w = weights[live]
+        mass = np.add.reduceat(w, starts)
+        means = np.add.reduceat(w[:, None] * columns[live], starts) / mass[:, None]
+        ratio = _pivot(means, mass, bound) / mass
+        weights[live] = w * np.repeat(ratio, np.diff(np.append(starts, len(live))))
+        live = live[weights[live] > 0.0]
+    weights[live] = _pivot(columns[live], weights[live], bound)
+    keep = live[weights[live] > 0.0]
+
+    out_pts, out_w = points[keep], weights[keep]
+    if target is not None:
+        after = float(np.max(np.abs(columns[keep].T @ out_w - target)))
+        floor = 1e-13 * float(np.max(np.abs(target)))
+        if after > 10.0 * max(before, floor):
+            raise ReductionError(
+                f"reduction degraded the moment residual: {before:.3e} -> {after:.3e}"
+            )
+    return out_pts, out_w
+
+
+def _pivot(columns, weights, bound):
+    """Caratheodory pivoting of the atoms with moment columns `columns`
+    (one row each) down to at most `bound` positive weights.
+
+    Take the first bound+1 live atoms, find a null vector of their moment
+    columns (last right singular vector of the wide matrix), shift the
+    weights along it until the smallest ratio hits zero (deterministic
+    pivot: smallest ratio, lowest index on ties), drop the zeroed atoms,
+    refill, repeat.  Returns the new weights, zero for dropped atoms.
+    """
+    weights = weights.copy()
     live = [i for i in range(len(weights)) if weights[i] > 0.0]
     while len(live) > bound:
         work = live[:bound + 1]
@@ -183,17 +225,7 @@ def caratheodory_reduce(points, weights, n, degree, target=None):
         if len(survivors) == len(work):
             raise ReductionError("pivot failed to remove an atom")
         live = survivors + live[bound + 1:]
-
-    keep = np.array(live, dtype=int)
-    out_pts = points[keep].copy()
-    out_w = weights[keep].copy()
-    if target is not None:
-        after = _atom_moment_residual(out_pts, out_w, np.asarray(target), n, degree)
-        if after > 10.0 * max(before, 1e-12):
-            raise ReductionError(
-                f"reduction degraded the moment residual: {before:.3e} -> {after:.3e}"
-            )
-    return out_pts, out_w
+    return weights
 
 
 def contact_moment_matrix(points, weights, n, half_degree):

@@ -4,6 +4,8 @@ Canonical instances reused across files:
   disk8   eight points on the unit circle (optimal enclosure x^2 + y^2)
   dball8  eight points on the quartic curve x^4 + y^4 = 1 (optimal
           enclosure is the 4-ball itself)
+  quartic_star  2000 points on the nonconvex curve
+          x^2 y^2 + 0.1 (x^4 + y^4) = 1 (acceptance criterion 7)
 Random clouds are always drawn from a seeded counter-based generator so
 every run sees identical data.
 """
@@ -31,6 +33,15 @@ def symmetric_cloud(seed, n=2, m=12, spread=1.5):
     """Cloud closed under x -> -x, as the origin-centered problem expects."""
     half = random_cloud(seed, n=n, m=m, spread=spread)
     return np.concatenate([half, -half])
+
+
+def quartic_star(m=2000):
+    """The star polynomial g0 and m points on {g0 = 1} at uniform angles;
+    g0 is its own minimum-volume quartic enclosure."""
+    g0 = hf.HomogeneousPoly(2, 4, {(2, 2): 1.0, (4, 0): 0.1, (0, 4): 0.1})
+    theta = 2.0 * np.pi * np.arange(m) / m
+    units = np.column_stack([np.cos(theta), np.sin(theta)])
+    return g0, units * (g0(units) ** -0.25)[:, None]
 
 
 @pytest.fixture

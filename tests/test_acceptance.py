@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import philox, symmetric_cloud
+from conftest import philox, quartic_star, symmetric_cloud
 from homfit import (ConstraintSet, HomogeneousPoly, SolverConfig,
                     basis_for, build_certificate,
                     crosscheck_levelset_moment, dball_contact_check,
@@ -194,10 +194,7 @@ def test_criterion_06_uniqueness_probe():
 
 def test_criterion_07_nonconvex_recovery():
     t0 = time.perf_counter()
-    g0 = HomogeneousPoly(2, 4, {(2, 2): 1.0, (4, 0): 0.1, (0, 4): 0.1})
-    theta = 2.0 * PI * np.arange(2000) / 2000
-    units = np.column_stack([np.cos(theta), np.sin(theta)])
-    pts = units * (g0(units) ** -0.25)[:, None]
+    g0, pts = quartic_star()
     rep = solve_min_volume(ConstraintSet(pts), 4)
     obj0 = integral_exp(g0)
     coeff_gap = float(np.max(np.abs(rep.g_star.coeff_vector - g0.coeff_vector)))

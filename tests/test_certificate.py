@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SQ2
+from conftest import SQ2, quartic_star
 from homfit import (CertificateError, ConstraintSet, HomogeneousPoly,
                     ReductionError, SolveReport, basis_for, build_certificate,
                     caratheodory_reduce, contact_moment_matrix,
@@ -104,16 +104,96 @@ def _reduce_by_rescan(points, weights, n, degree):
     return points[live], weights[live]
 
 
-@pytest.mark.parametrize("n,d", [(2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (3, 6)])
+CASES = [(2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (3, 6)]
+
+
+@pytest.mark.parametrize("n,d", CASES)
 def test_caratheodory_reduce_matches_rescan(n, d):
+    # up to 2*bound atoms the reduction is the one-atom-at-a-time pivot loop
+    bound = len(basis_for(n, d))
     rng = np.random.Generator(np.random.Philox(100 * n + d))
-    pts = rng.normal(size=(2000, n))
-    w = rng.uniform(0.5, 1.5, size=2000)
-    ref_pts, ref_w = _reduce_by_rescan(pts, w, n, d)
-    out_pts, out_w = caratheodory_reduce(pts, w, n, d)
-    assert len(out_w) <= len(basis_for(n, d))
-    assert np.array_equal(out_pts, ref_pts)
-    assert np.array_equal(out_w, ref_w)
+    for size in range(1, 2 * bound + 1):
+        for _ in range(2):
+            pts = rng.normal(size=(size, n))
+            w = rng.uniform(0.5, 1.5, size=size)
+            w[rng.uniform(size=size) < 0.1] = 0.0
+            ref_pts, ref_w = _reduce_by_rescan(pts, w, n, d)
+            out_pts, out_w = caratheodory_reduce(pts, w, n, d)
+            assert np.array_equal(out_pts, ref_pts)
+            assert np.array_equal(out_w, ref_w)
+
+
+def _normal_atoms(n, d):
+    rng = np.random.Generator(np.random.Philox(100 * n + d))
+    return rng.normal(size=(2000, n)), rng.uniform(0.5, 1.5, size=2000)
+
+
+def _repeated_atoms(n, d):
+    # 40 distinct points, each listed 50 times: blocks of identical columns
+    rng = np.random.Generator(np.random.Philox(7 + 100 * n + d))
+    return (np.repeat(rng.normal(size=(40, n)), 50, axis=0),
+            rng.uniform(0.5, 1.5, size=2000))
+
+
+def _anisotropic_atoms(n, d):
+    rng = np.random.Generator(np.random.Philox(11 + d))
+    return (rng.normal(size=(2000, n)) * np.array([1.0, 30.0, 0.01]),
+            rng.uniform(0.5, 1.5, size=2000))
+
+
+LARGE_CASES = ([(_normal_atoms, n, d) for n, d in CASES]
+               + [(_repeated_atoms, 2, 4), (_repeated_atoms, 3, 6),
+                  (_anisotropic_atoms, 3, 4), (_anisotropic_atoms, 3, 6)])
+
+
+@pytest.mark.parametrize("make,n,d", LARGE_CASES,
+                         ids=[f"{m.__name__[1:-6]}-{n}-{d}" for m, n, d in LARGE_CASES])
+def test_caratheodory_reduce_large_inputs(make, n, d):
+    pts, w = make(n, d)
+    basis = basis_for(n, d)
+    # the exact moments as target: the residual guard must accept the
+    # round-off of a correct reduction (moments up to ~3e4 at d = 6)
+    target = basis.monomials(pts).T @ w
+    out_pts, out_w = caratheodory_reduce(pts, w, n, d, target)
+    assert len(out_w) <= len(basis)
+    assert np.all(out_w > 0.0)
+    rows = {tuple(p) for p in pts}
+    assert all(tuple(p) in rows for p in out_pts)
+    gap = np.max(np.abs(basis.monomials(out_pts).T @ out_w - target))
+    assert gap <= 1e-13 * np.max(np.abs(target))
+    again_pts, again_w = caratheodory_reduce(pts, w, n, d, target)
+    assert np.array_equal(again_pts, out_pts) and np.array_equal(again_w, out_w)
+
+
+@pytest.mark.parametrize("n,d", [(2, 4), (3, 6)])
+def test_reduction_pivots_grow_logarithmically(n, d, monkeypatch):
+    # one SVD per pivot; one pivot per atom would be N - bound of them
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    pts, w = _normal_atoms(n, d)
+    bound = len(basis_for(n, d))
+    caratheodory_reduce(pts, w, n, d)
+    assert 0 < len(calls) <= bound * (math.ceil(math.log2(len(w) / bound)) + 1)
+
+
+def test_star_d4_certificate():
+    # criterion 7's star: all 2000 points are contacts, reduced to C(5, 4)
+    _, pts = quartic_star()
+    cs = ConstraintSet(pts)
+    rep = solve_min_volume(cs, 4)
+    assert len(rep.dual_weights) == 2000
+    cert = build_certificate(rep, cs)
+    y0 = cert.meta["y0"]
+    assert cert.reduced and len(cert.weights) <= 5
+    assert cert.moment_residual <= 1e-10 * y0
+    assert abs(cert.mass - cert.mass_expected) <= 1e-6 * y0
+    assert cert.level_residual <= 1e-6
 
 
 def test_caratheodory_reduce_direct():
