@@ -8,9 +8,10 @@ center is found by one log-barrier Newton path in those joint variables,
 
     Phi_t(g, a) = t * Integral exp(-g) - sum_i log(1 - g(x_i - a)),
 
-with the solver's stage schedule, decrement test and line search; rho is
-never formed.  The joint problem is not convex, so the path gives a
-local optimum with no uniqueness claim.  The answer is then certified by
+on the solver's barrier path; this module adds the curved slacks
+1 - g(x_i - a) with their first and second derivatives, and rho is never
+formed.  The joint problem is not convex, so the path gives a local
+optimum with no uniqueness claim.  The answer is then certified by
 ordinary fixed-center solves at the joint center, the centroid and the
 origin; the best of the three wins, so the centered volume never exceeds
 the origin-centered one (up to solver tolerance) and every answer comes
@@ -26,11 +27,10 @@ import numpy as np
 
 from .constraints import ConstraintSet
 from .errors import ConvergenceError, DegenerateInputError, NotInConeError
-from .integrals import integral_exp
 from .polynomials import (HomogeneousPoly, basis_for, monomial_hessian,
                           monomial_jacobian)
-from .solver import (SolveReport, SolverConfig, _newton_stage, initial_guess,
-                     objective_grad_hess, solve_min_volume)
+from .solver import (SolveReport, SolverConfig, _barrier_path, _whiten,
+                     initial_guess, solve_min_volume)
 
 __all__ = ["CenteredSolveReport", "solve_min_volume_centered", "rho_of_center"]
 
@@ -106,81 +106,38 @@ def _joint_path(points, degree, config):
     ConvergenceError when the path does not reach the duality-gap bound
     m/t <= tol * y0 within the solver's budgets.
     """
-    m, n = points.shape
+    n = points.shape[1]
     basis = basis_for(n, degree)
     size = len(basis)
-    spec = config.quadrature
-    hint = {}
-    hint_phi = {}
 
-    def split(x):
-        return HomogeneousPoly(n, degree, x[:size]), x[size:]
-
-    def derivatives(x, t):
-        g, a = split(x)
-        y0, grad_f, hess_f, _ = objective_grad_hess(g, spec, hint)
-        z = points - a
+    def slacks(x, jacobian=False):
+        g, z = HomogeneousPoly(n, degree, x[:size]), points - x[size:]
+        if not jacobian:
+            return 1.0 - g(z)
         M = basis.monomials(z)
         dM = monomial_jacobian(z, basis.exponents)          # (m, size, n)
         grad_g = np.einsum("ikj,k->ij", dM, g.coeff_vector)
         hess_g = np.einsum("ikjl,k->ijl",
                            monomial_hessian(z, basis.exponents), g.coeff_vector)
-        slack = 1.0 - M @ g.coeff_vector
-        inv = 1.0 / slack
-        # rows are the gradients of s_i = 1 - g(z_i) in (g, a):
-        # ds/dg = -m(z_i), ds/da = grad g(z_i)
-        J = np.hstack([-M, grad_g]) * inv[:, None]
-        grad = -J.sum(axis=0)
-        grad[:size] += t * grad_f
-        hess = J.T @ J
-        hess[:size, :size] += t * hess_f
+        s = 1.0 - M @ g.coeff_vector
+        inv = 1.0 / s
         # minus sum_i (second derivative of s_i) / s_i: the g-a block of
         # d2s is +dm/dz, the a-a block is -hess g
-        mixed = -np.einsum("ikj,i->kj", dM, inv)
-        hess[:size, size:] += mixed
-        hess[size:, :size] += mixed.T
-        hess[size:, size:] += np.einsum("ijl,i->jl", hess_g, inv)
-        # The joint barrier is not convex.  Where its Hessian is
-        # indefinite, flip the negative eigenvalues: the solver's
-        # escalating ridge would also give a descent step, but one shrunk
-        # in every direction, and stages then stall far from the path.
-        lam, vec = np.linalg.eigh(hess)
-        if lam[0] < 0.0:
-            hess = (vec * np.abs(lam)) @ vec.T
-        phi = t * y0 - float(np.sum(np.log(slack)))
-        return y0, phi, grad, hess, grad_g, slack
+        curvature = np.zeros((size + n, size + n))
+        curvature[:size, size:] = -np.einsum("ikj,i->kj", dM, inv)
+        curvature[size:, :size] = curvature[:size, size:].T
+        curvature[size:, size:] = np.einsum("ijl,i->jl", hess_g, inv)
+        # -ds/d(g, a): row i is (m(z_i), -grad g(z_i))
+        return s, np.hstack([M, -grad_g]), curvature
 
-    def barrier_value(x, t):
-        g, a = split(x)
-        s = 1.0 - g(points - a)
-        if np.any(s <= 0.0):
-            return np.inf
-        try:
-            y0 = integral_exp(g, spec, hint=hint_phi)
-        except NotInConeError:
-            return np.inf
-        return t * y0 - float(np.sum(np.log(s)))
-
-    g0 = initial_guess(points, degree, config.feasibility_margin)
-    x = np.concatenate([g0.coeff_vector, np.zeros(n)])
-    t = config.barrier_t0
-    total = 0
-    for stage in range(1, config.max_stages + 1):
-        x, steps, state = _newton_stage(x, t, derivatives, barrier_value,
-                                        config, config.max_newton_iters - total)
-        total += steps
-        y0, grad_g, slack = state[0], state[-2], state[-1]
-        if m / t <= config.kkt_tolerance * y0:
-            lam = 1.0 / (t * slack)
-            stationarity = float(np.max(np.abs(grad_g.T @ lam))) / y0
-            return x[size:], total, stage, stationarity
-        if total >= config.max_newton_iters:
-            raise ConvergenceError(
-                f"joint path: newton budget {config.max_newton_iters} "
-                f"exhausted at barrier weight t={t:.3e}")
-        t *= config.barrier_multiplier
-    raise ConvergenceError(
-        f"joint path: barrier stage cap {config.max_stages} reached")
+    x = np.concatenate([initial_guess(points, degree).coeff_vector,
+                        np.zeros(n)])
+    path = _barrier_path(x, n, degree, slacks, config, label="joint path: ")
+    x, t, stages, steps, state = next(path)
+    y0, slack, jac = state[0], state[4], state[5]
+    lam = 1.0 / (t * slack)
+    stationarity = float(np.max(np.abs(jac[:, size:].T @ lam))) / y0
+    return x[size:], steps, stages, stationarity
 
 
 def solve_min_volume_centered(cs, degree, config=None):
@@ -200,24 +157,18 @@ def solve_min_volume_centered(cs, degree, config=None):
     """
     config = config or SolverConfig()
     points = cs.points
-    m, n = points.shape
+    n = points.shape[1]
     centroid = points.mean(axis=0)
     spread = points - centroid
-    scale = max(1.0, float(np.abs(spread).max()))
-    if np.linalg.matrix_rank(spread, tol=1e-12 * scale) < n:
-        raise DegenerateInputError(
-            "points minus their centroid lie in a proper subspace; the "
-            "centered volume can shrink to zero"
-        )
-    try:
-        L = np.linalg.cholesky(spread.T @ spread / m)
-    except np.linalg.LinAlgError:
-        raise DegenerateInputError("centered sample scatter is numerically singular")
+    L, _, _ = _whiten(spread, "points minus their centroid lie in a proper "
+                      "subspace; the centered volume can shrink to zero")
 
     meta = {"joint_stages": 0, "center_stationarity": None, "fallback": None}
     candidates = []
     steps = 0
     try:
+        # L^-1 (x - centroid) by a triangular solve, not _whiten's W x:
+        # the path's Newton step counts move with the last bits of its input
         a_w, steps, meta["joint_stages"], meta["center_stationarity"] = \
             _joint_path(np.linalg.solve(L, spread.T).T, degree, config)
         candidates.append(("joint", centroid + L @ a_w))

@@ -17,6 +17,15 @@ t by a fixed factor until the duality-gap bound m/t is below tolerance.
 Barrier multipliers 1/(t*(1-g(x_i))) are then polished by a least-squares
 fit of the active monomial columns to the degree-d moment vector.
 
+The barrier path (_barrier_path) and the whitening (_whiten) are shared
+with the centered fit, whose slacks 1 - g(x_i - a) also depend on a
+center a; each caller gives only its slacks and their derivatives.  The
+schedule is fixed: t starts at BARRIER_T0 and grows by
+BARRIER_MULTIPLIER for at most MAX_STAGES stages, and the line search
+backtracks by BACKTRACK_RATIO until Phi_t drops by ARMIJO_SLOPE times
+the predicted decrease.  Both fits start from initial_guess with
+FEASIBILITY_MARGIN headroom.
+
 The inner loop stops on the Newton decrement, not the gradient norm: at
 large t the gradient is dominated by roundoff in (1 - g(x_i)) at active
 points, noise that lies in the active span where the Hessian is O(t^2),
@@ -41,8 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConvergenceError, DegenerateInputError, InfeasibleError,
-                     NotInConeError)
+from .errors import ConvergenceError, DegenerateInputError, NotInConeError
 from .integrals import (DEFAULT_QUADRATURE, MomentVector, QuadratureSpec,
                         integral_exp, moment_vector)
 from .polynomials import (HomogeneousPoly, basis_for, check_in_cone,
@@ -51,18 +59,19 @@ from .polynomials import (HomogeneousPoly, basis_for, check_in_cone,
 __all__ = ["SolverConfig", "SolveReport", "initial_guess", "objective_grad_hess",
            "solve_min_volume", "kkt_residual"]
 
+BARRIER_T0 = 1.0             # barrier weight t of the first stage
+BARRIER_MULTIPLIER = 10.0    # growth of t from one stage to the next
+MAX_STAGES = 60
+ARMIJO_SLOPE = 1e-4
+BACKTRACK_RATIO = 0.5
+FEASIBILITY_MARGIN = 0.01    # initial-guess headroom
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     kkt_tolerance: float = 1e-8
     max_newton_iters: int = 400          # total damped steps across all stages
-    barrier_t0: float = 1.0
-    barrier_multiplier: float = 10.0
-    max_stages: int = 60
-    armijo_slope: float = 1e-4
-    backtrack_ratio: float = 0.5
     activity_tol: float = 1e-6           # slack threshold for the active set
-    feasibility_margin: float = 0.01     # initial-guess headroom
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
@@ -70,10 +79,6 @@ class SolverConfig:
             raise ValueError("kkt_tolerance must be in (0, 1)")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be >= 1")
-        if self.barrier_multiplier <= 1:
-            raise ValueError("barrier_multiplier must exceed 1")
-        if not (0 < self.backtrack_ratio < 1):
-            raise ValueError("backtrack_ratio must be in (0, 1)")
 
 
 @dataclass
@@ -105,7 +110,7 @@ class SolveReport:
         return _dense_multipliers(self.dual_weights, size)
 
 
-def initial_guess(cs, degree, margin=0.01):
+def initial_guess(cs, degree, margin=FEASIBILITY_MARGIN):
     """Strictly feasible start: scale x_1^d + ... + x_n^d so the largest
     sample value is 1/(1+margin).  Always inside the positivity cone.
 
@@ -183,6 +188,24 @@ def _polish_multipliers(V, slack, yd, activity_tol):
     return lam, active
 
 
+def _whiten(points, message):
+    """Whitening map for (m, n) points: scatter points^T points / m = L L^T.
+
+    Raises DegenerateInputError(message) if the points do not span R^n.
+    Returns (L, W = L^{-1}, the points in whitened coordinates W x).
+    """
+    m, n = points.shape
+    scale = max(1.0, float(np.abs(points).max()))
+    if np.linalg.matrix_rank(points, tol=1e-12 * scale) < n:
+        raise DegenerateInputError(message)
+    try:
+        L = np.linalg.cholesky(points.T @ points / m)
+    except np.linalg.LinAlgError:
+        raise DegenerateInputError("sample scatter is numerically singular")
+    W = np.linalg.solve(L, np.eye(n))
+    return L, W, points @ W.T
+
+
 def solve_min_volume(cs, degree, config=None, start=None):
     """Minimum-volume enclosing sublevel set for a finite point set.
 
@@ -209,31 +232,19 @@ def solve_min_volume(cs, degree, config=None, start=None):
     if degree < 2 or degree % 2:
         raise ValueError(f"degree must be even and >= 2, got {degree}")
     raw_points = cs.points
-    m, n = raw_points.shape
-    scale = max(1.0, float(np.abs(raw_points).max()))
-    if np.linalg.matrix_rank(raw_points, tol=1e-12 * scale) < n:
-        raise DegenerateInputError(
-            "constraint points lie in a proper subspace; no finite-volume "
-            "enclosure exists"
-        )
+    n = raw_points.shape[1]
 
     # Whiten: solve in coordinates where the sample scatter is the
     # identity.  Anisotropic clouds otherwise produce polynomials with
     # huge cancelling coefficients, which poisons both the angular
     # quadrature and the achievable KKT residual.  The optimum maps back
     # exactly: g*(x) = gw(W x), lambda_i = det(L) * lambda_w_i.
-    scatter = raw_points.T @ raw_points / m
-    try:
-        L = np.linalg.cholesky(scatter)
-    except np.linalg.LinAlgError:
-        raise DegenerateInputError("sample scatter is numerically singular")
-    W = np.linalg.solve(L, np.eye(n))            # W = L^{-1}
+    L, W, points = _whiten(raw_points, "constraint points lie in a proper "
+                           "subspace; no finite-volume enclosure exists")
     det_L = float(np.prod(np.diag(L)))
-    points = raw_points @ W.T
 
     basis = basis_for(n, degree)
     V = basis.monomials(points)
-    spec = config.quadrature
 
     gvec = None
     if start is not None:
@@ -248,100 +259,129 @@ def solve_min_volume(cs, degree, config=None, start=None):
             except NotInConeError:
                 gvec = None
     if gvec is None:
-        gvec = initial_guess(points, degree,
-                             config.feasibility_margin).coeff_vector.copy()
+        gvec = initial_guess(points, degree).coeff_vector.copy()
 
+    def slacks(vec, jacobian=False):
+        s = 1.0 - V @ vec
+        return (s, V, None) if jacobian else s
+
+    res = np.inf
+    extra_stages = 0
+    path = _barrier_path(gvec, n, degree, slacks, config,
+                         context=lambda: f" (last residual {res:.3e})")
+    for gvec, t, stages, total_newton, state in path:
+        y0, slack, mv_full = state[0], state[4], state[-1]
+        yd = mv_full.vector_d()
+        lam, active = _polish_multipliers(V, slack, yd, config.activity_tol)
+        res = _residual_from_parts(V, lam, yd, slack, y0)
+        if res <= config.kkt_tolerance:
+            info = mv_full.quadrature_info
+            if not info["converged"]:
+                raise ConvergenceError(
+                    f"final quadrature did not converge at {info['points']} "
+                    f"points (ladder delta {info['last_delta']:.3e})")
+            g_out = compose_linear(HomogeneousPoly(n, degree, gvec), W)
+            drift = float(np.max(np.abs(g_out(raw_points) - (1.0 - slack))))
+            if drift > config.activity_tol:
+                raise ConvergenceError(
+                    f"frame change: user-frame and whitened g* disagree by "
+                    f"{drift:.3e} at the points (activity_tol "
+                    f"{config.activity_tol:.1e})")
+            objective = det_L * y0
+            yd_user = det_L * (power_matrix(L, degree) @ yd)
+            return SolveReport(
+                g_star=g_out, objective=objective,
+                volume=objective / math.gamma(1.0 + n / degree),
+                iterations=total_newton, stages=stages, t_final=t,
+                kkt_residual=res, active_indices=active,
+                dual_weights={int(i): float(det_L * lam[i])
+                              for i in active if lam[i] > 0.0},
+                moment_data=MomentVector(n, degree, objective,
+                                         dict(zip(basis, yd_user.tolist())),
+                                         quadrature_info=info),
+            )
+        # gap bound met but the polished residual is not: push the
+        # path a little further before giving up
+        extra_stages += 1
+        if extra_stages >= 8:
+            raise ConvergenceError(
+                f"KKT residual stalled at {res:.3e} (tolerance "
+                f"{config.kkt_tolerance:.1e}, t={t:.3e})"
+            )
+
+
+def _barrier_path(x, n, degree, slacks, config, label="", context=lambda: ""):
+    """Log-barrier path for Phi_t(x) = t * Integral exp(-g) - sum_i log s_i(x),
+    g the degree-d form in n variables with coefficients x[:size]; any
+    further entries of x are variables only the slacks depend on.
+
+    slacks(x) returns s(x); slacks(x, True) returns (s, D, C): D = -ds/dx,
+    and C = -sum_i (d2 s_i / dx2) / s_i, or None when x is g alone and
+    the slacks are linear in it.  With C the Hessian may be indefinite:
+    its negative eigenvalues are flipped, where the ridge of _newton_step
+    would shrink the step in every direction and stall the stages far
+    from the path.
+
+    Runs a Newton stage at each t = BARRIER_T0 * BARRIER_MULTIPLIER^k from
+    the strictly feasible x and, after each stage that meets the gap bound
+    m/t <= kkt_tolerance * y0, yields (x, t, stages, Newton steps so far,
+    state), state being (y0, Phi_t, gradient, Hessian, s, D, moment
+    vector) at x.  Raises ConvergenceError, its message `label` + reason +
+    context(), when the Newton budget or MAX_STAGES runs out.
+    """
+    size = len(basis_for(n, degree))
+    spec = config.quadrature
     hint = {}
     hint_phi = {}     # separate ladder memory: phi needs only the mass slice
 
-    def derivatives(vec, t):
+    def derivatives(x, t):
         y0, grad_f, hess_f, mv = objective_grad_hess(
-            HomogeneousPoly(n, degree, vec), spec, hint)
-        slack = 1.0 - V @ vec
-        grad = t * grad_f + V.T @ (1.0 / slack)
-        hess = t * hess_f + (V / slack[:, None] ** 2).T @ V
-        phi = t * y0 - float(np.sum(np.log(slack)))
-        return y0, phi, grad, hess, mv
+            HomogeneousPoly(n, degree, x[:size]), spec, hint)
+        s, D, curvature = slacks(x, True)
+        if curvature is None:       # one m x size temporary per step
+            grad = t * grad_f + D.T @ (1.0 / s)
+            hess = t * hess_f + (D / s[:, None] ** 2).T @ D
+        else:
+            scaled = D * (1.0 / s)[:, None]
+            grad, hess = scaled.sum(axis=0), scaled.T @ scaled + curvature
+            grad[:size] += t * grad_f
+            hess[:size, :size] += t * hess_f
+            lam, vec = np.linalg.eigh(hess)
+            if lam[0] < 0.0:
+                hess = (vec * np.abs(lam)) @ vec.T
+        phi = t * y0 - float(np.sum(np.log(s)))
+        return y0, phi, grad, hess, s, D, mv
 
-    def barrier_value(vec, t):
-        s = 1.0 - V @ vec
+    def barrier_value(x, t):
+        s = slacks(x)
         if np.any(s <= 0.0):
             return np.inf
         try:
-            y0 = integral_exp(HomogeneousPoly(n, degree, vec), spec,
+            y0 = integral_exp(HomogeneousPoly(n, degree, x[:size]), spec,
                               hint=hint_phi)
         except NotInConeError:
             return np.inf
         return t * y0 - float(np.sum(np.log(s)))
 
-    t = config.barrier_t0
-    total_newton = 0
-    stages = 0
-    extra_stages = 0
-    last_res = np.inf
-
-    for stage in range(config.max_stages):
-        stages += 1
-        gvec, steps, state = _newton_stage(
-            gvec, t, derivatives, barrier_value, config,
-            config.max_newton_iters - total_newton)
-        total_newton += steps
-        y0, mv_full = state[0], state[-1]
-        slack = 1.0 - V @ gvec
-
-        if m / t <= config.kkt_tolerance * y0:
-            yd = mv_full.vector_d()
-            lam, active = _polish_multipliers(V, slack, yd, config.activity_tol)
-            res = _residual_from_parts(V, lam, yd, slack, y0)
-            last_res = res
-            if res <= config.kkt_tolerance:
-                info = mv_full.quadrature_info
-                if not info["converged"]:
-                    raise ConvergenceError(
-                        f"final quadrature did not converge at {info['points']} "
-                        f"points (ladder delta {info['last_delta']:.3e})")
-                g_out = compose_linear(HomogeneousPoly(n, degree, gvec), W)
-                drift = float(np.max(np.abs(g_out(raw_points) - (1.0 - slack))))
-                if drift > config.activity_tol:
-                    raise ConvergenceError(
-                        f"frame change: user-frame and whitened g* disagree by "
-                        f"{drift:.3e} at the points (activity_tol "
-                        f"{config.activity_tol:.1e})")
-                objective = det_L * y0
-                yd_user = det_L * (power_matrix(L, degree) @ yd)
-                return SolveReport(
-                    g_star=g_out, objective=objective,
-                    volume=objective / math.gamma(1.0 + n / degree),
-                    iterations=total_newton, stages=stages, t_final=t,
-                    kkt_residual=res, active_indices=active,
-                    dual_weights={int(i): float(det_L * lam[i])
-                                  for i in active if lam[i] > 0.0},
-                    moment_data=MomentVector(n, degree, objective,
-                                             dict(zip(basis, yd_user.tolist())),
-                                             quadrature_info=info),
-                )
-            # gap bound met but the polished residual is not: push the
-            # path a little further before giving up
-            extra_stages += 1
-            if extra_stages >= 8:
-                raise ConvergenceError(
-                    f"KKT residual stalled at {res:.3e} (tolerance "
-                    f"{config.kkt_tolerance:.1e}, t={t:.3e})"
-                )
-        if total_newton >= config.max_newton_iters:
+    t = BARRIER_T0
+    total = 0
+    for stage in range(1, MAX_STAGES + 1):
+        x, steps, state = _newton_stage(x, t, derivatives, barrier_value,
+                                        config.max_newton_iters - total)
+        total += steps
+        if len(state[4]) / t <= config.kkt_tolerance * state[0]:
+            yield x, t, stage, total, state
+        if total >= config.max_newton_iters:
             raise ConvergenceError(
-                f"newton budget {config.max_newton_iters} exhausted at "
-                f"barrier weight t={t:.3e} (last residual {last_res:.3e})"
-            )
-        t *= config.barrier_multiplier
-
+                f"{label}newton budget {config.max_newton_iters} exhausted "
+                f"at barrier weight t={t:.3e}{context()}")
+        t *= BARRIER_MULTIPLIER
     raise ConvergenceError(
-        f"barrier stage cap {config.max_stages} reached without meeting "
-        f"tolerance (last residual {last_res:.3e})"
-    )
+        f"{label}barrier stage cap {MAX_STAGES} reached without meeting "
+        f"tolerance{context()}")
 
 
-def _newton_stage(x, t, derivatives, barrier_value, config, budget):
+def _newton_stage(x, t, derivatives, barrier_value, budget):
     """Damped Newton on one barrier function Phi_t, from x.
 
     derivatives(x, t) returns (y0, Phi_t(x), gradient, Hessian, ...) and
@@ -350,7 +390,8 @@ def _newton_stage(x, t, derivatives, barrier_value, config, budget):
     of _newton_step, so every step is a descent direction.  Stops on the
     scale-aware decrement test (see the module docstring), after six
     steps that fail to halve the decrement, when the line search finds no
-    Armijo point, or after `budget` (>= 1) steps.
+    Armijo point, or after `budget` steps: what is left (>= 1) of the
+    barrier path's Newton budget.
 
     Returns (x, steps taken, derivatives(x, t) at the returned x).
     """
@@ -374,7 +415,7 @@ def _newton_stage(x, t, derivatives, barrier_value, config, budget):
             if stall >= 6:
                 break
 
-        armijo = config.armijo_slope * (grad @ step)
+        armijo = ARMIJO_SLOPE * (grad @ step)
         alpha = 1.0
         accepted = False
         while alpha > 1e-14:
@@ -384,7 +425,7 @@ def _newton_stage(x, t, derivatives, barrier_value, config, budget):
                 x = trial
                 accepted = True
                 break
-            alpha *= config.backtrack_ratio
+            alpha *= BACKTRACK_RATIO
         steps += 1
         if not accepted:
             break

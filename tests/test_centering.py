@@ -1,6 +1,8 @@
 """Joint fit of polynomial and center for the translated enclosure problem."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from conftest import philox, symmetric_cloud
 from homfit import (ConstraintSet, ConvergenceError, DegenerateInputError,
                     KDescription, SolverConfig, centering, rho_of_center,
                     solve_min_volume, solve_min_volume_centered, to_constraints)
+from homfit.solver import _whiten
 
 PI = math.pi
 
@@ -109,6 +112,30 @@ def test_solver_failure_is_not_reported_as_degenerate():
     with pytest.raises(ConvergenceError):
         solve_min_volume_centered(ConstraintSet(pts), 2,
                                   SolverConfig(max_newton_iters=3))
+
+
+def test_joint_budget_message_keeps_prefix():
+    pts = philox(21).normal(size=(10, 2)) + np.array([0.7, -0.3])
+    _, _, whitened = _whiten(pts - pts.mean(axis=0), "degenerate")
+    with pytest.raises(ConvergenceError, match=r"^joint path: newton budget 3"):
+        centering._joint_path(whitened, 2, SolverConfig(max_newton_iters=3))
+
+
+def test_one_barrier_path():
+    # the centered fit runs on the solver's barrier path, not a copy of it
+    tree = ast.parse(Path(centering.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"_newton_stage", "integral_exp",
+                           "objective_grad_hess"}
+    calls = 0
+    for path in Path(centering.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls += name == "_newton_stage"
+    assert calls == 1
 
 
 def test_two_points_have_no_centered_fit():

@@ -156,15 +156,28 @@ def test_warm_start_and_validation(disk4):
         solve_min_volume(disk4, 3)
     with pytest.raises(ValueError):
         SolverConfig(kkt_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(barrier_multiplier=1.0)
 
 
 def test_iteration_budget_exhaustion():
     pts = random_cloud(2, n=2, m=30)
-    cfg = SolverConfig(max_newton_iters=3, max_stages=2)
+    cfg = SolverConfig(max_newton_iters=3)
     with pytest.raises(ConvergenceError):
         solve_min_volume(ConstraintSet(pts), 2, config=cfg)
+
+
+def test_budget_message_names_budget_weight_and_residual():
+    cs = ConstraintSet(random_cloud(2, n=2, m=30))
+    with pytest.raises(ConvergenceError, match=r"newton budget 3 exhausted "
+                       r"at barrier weight t=\S+ \(last residual \S+\)$"):
+        solve_min_volume(cs, 2, SolverConfig(max_newton_iters=3))
+
+
+def test_barrier_schedule_is_fixed(disk4):
+    # t starts at 1 and grows tenfold per stage
+    cloud = ConstraintSet(symmetric_cloud(3, n=2, m=10))
+    for cs, degree in ((disk4, 2), (cloud, 4)):
+        rep = solve_min_volume(cs, degree)
+        assert rep.t_final == 10.0 ** (rep.stages - 1)
 
 
 @pytest.mark.parametrize("pts", [random_cloud(3, n=2, m=30),
