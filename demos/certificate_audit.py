@@ -48,8 +48,8 @@ units = np.column_stack([np.cos(theta), np.sin(theta)])
 star_pts = ConstraintSet(units * (star(units) ** -0.25)[:, None])
 rep = solve_min_volume(star_pts, 4)
 cert = build_certificate(rep, star_pts)
-print(f"{len(rep.dual_weights)} contacts merged into blocks and pivoted down to "
-      f"{len(cert.weights)} atoms (bound {cert.atom_bound})")
+print(f"{np.count_nonzero(rep.multipliers)} contacts merged into blocks and "
+      f"pivoted down to {len(cert.weights)} atoms (bound {cert.atom_bound})")
 print(f"moment residual / I_0 {cert.moment_residual / cert.meta['y0']:.2e}, "
       f"mass {cert.mass:.9f} vs expected {cert.mass_expected:.9f}")
 

@@ -35,7 +35,7 @@ print("== degree 4: beyond ellipsoids ==")
 rep4 = solve_min_volume(cs, 4)
 print(f"degree-4 volume {rep4.volume:.9f}")
 print(f"volume saved    {100.0 * (1.0 - rep4.volume / rep2.volume):.1f}% vs the ellipse")
-print(f"active contacts {len(rep4.dual_weights)} of {len(cs)} points")
+print(f"active contacts {np.count_nonzero(rep4.multipliers)} of {len(cs)} points")
 
 try:
     import matplotlib

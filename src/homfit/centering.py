@@ -160,17 +160,16 @@ def solve_min_volume_centered(cs, degree, config=None):
     n = points.shape[1]
     centroid = points.mean(axis=0)
     spread = points - centroid
-    L, _, _ = _whiten(spread, "points minus their centroid lie in a proper "
-                      "subspace; the centered volume can shrink to zero")
+    L, _, whitened = _whiten(spread, "points minus their centroid lie in a "
+                             "proper subspace; the centered volume can shrink "
+                             "to zero")
 
     meta = {"joint_stages": 0, "center_stationarity": None, "fallback": None}
     candidates = []
     steps = 0
     try:
-        # L^-1 (x - centroid) by a triangular solve, not _whiten's W x:
-        # the path's Newton step counts move with the last bits of its input
         a_w, steps, meta["joint_stages"], meta["center_stationarity"] = \
-            _joint_path(np.linalg.solve(L, spread.T).T, degree, config)
+            _joint_path(whitened, degree, config)
         candidates.append(("joint", centroid + L @ a_w))
     except (ConvergenceError, NotInConeError) as exc:
         meta["fallback"] = str(exc)

@@ -85,26 +85,25 @@ def _atom_moment_residual(points, weights, target, n, degree):
     return float(np.max(np.abs(A @ weights - target)))
 
 
-def build_certificate(report, cs, spec=None, reduce_atoms=True):
+def build_certificate(report, cs, reduce_atoms=True):
     """Assemble a certificate from a solve report.
 
-    The atoms are the points in report.dual_weights, weighted by those
-    multipliers (no refit), against report.moment_data (or a fresh
-    quadrature when the report has none); the residuals are recomputed
-    from the published atoms, as a third party would.  With reduce_atoms,
-    the support is thinned to at most C(n+d-1, d) atoms while reproducing
-    the same moments.
+    The atoms are the points of cs with a positive entry in
+    report.multipliers, weighted by it (no refit), against the degree-d
+    slice of report.moment_data; the residuals are recomputed from the
+    published atoms, as a third party would.  With reduce_atoms, the
+    support is thinned to at most C(n+d-1, d) atoms while reproducing the
+    same moments.
     """
     g = report.g_star
     n, d = g.n, g.degree
-    idx = sorted(report.dual_weights)
-    if not idx:
+    idx = np.flatnonzero(report.multipliers)
+    if not idx.size:
         raise CertificateError("solve report has no active constraints")
-    points = cs.points[np.array(idx, dtype=int)]
-    weights = np.array([report.dual_weights[i] for i in idx], dtype=float)
+    points, weights = cs.points[idx], report.multipliers[idx]
 
-    mv = report.moment_data if report.moment_data is not None else moment_vector(g, spec)
-    target = mv.vector_d()
+    mv = report.moment_data
+    target = mv.slice_d
     bound = len(basis_for(n, d))
 
     if reduce_atoms and len(weights) > bound:
@@ -245,7 +244,7 @@ def gaussian_moment_matrix(g, spec=None):
     n, d = g.n, g.degree
     if d % 2:
         raise ValueError("degree must be even")
-    return moment_vector(g, spec).vector_d()[_hessian_alias(n, d // 2)]
+    return moment_vector(g, spec).slice_d[_hessian_alias(n, d // 2)]
 
 
 def axis_moment_1d(k, d):
@@ -291,7 +290,7 @@ def dball_contact_check(cs, degree, spec=None, config=None, ball_tol=1e-3):
             f"optimal polynomial deviates from the d-ball by {dev:.3e}; "
             f"the separable identity does not apply"
         )
-    cert = build_certificate(report, cs, spec, reduce_atoms=False)
+    cert = build_certificate(report, cs, reduce_atoms=False)
     pts, w = cert.contact_points, cert.weights
     basis = basis_for(n, degree)
     sums = basis.monomials(pts).T @ w

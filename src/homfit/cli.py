@@ -22,7 +22,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,41 +31,17 @@ from .certificate import build_certificate
 from .constraints import ConstraintSet, KDescription, inclusion_check, to_constraints
 from .errors import (CertificateError, ConvergenceError, DegenerateInputError,
                      EmptySetError, InfeasibleError, NotInConeError)
+from .integrals import _hessian_alias
 from .oracle import mvee_symmetric
 from .polynomials import positivity_floor
 from .solver import SolverConfig, solve_min_volume
 
-__all__ = ["JobConfig", "build_parser", "load_description", "run", "main",
-           "emit_contours"]
+__all__ = ["build_parser", "load_description", "run", "main", "emit_contours"]
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_GEOMETRY = 3
 EXIT_CONVERGENCE = 4
-
-
-@dataclass
-class JobConfig:
-    input_path: str
-    degree: int = 2
-    mode: str = "p0"                 # 'p0' fixes the center at the origin
-    budget: int = 2000
-    seed: int = 0
-    tol: float | None = None         # None: the SolverConfig default
-    out: str | None = None
-    contours: int | None = None
-
-    def validate(self):
-        if self.degree < 2 or self.degree % 2:
-            raise ValueError(f"--degree must be even and >= 2, got {self.degree}")
-        if self.mode not in ("p0", "p"):
-            raise ValueError(f"--mode must be 'p0' or 'p', got {self.mode!r}")
-        if self.budget < 1:
-            raise ValueError("--budget must be >= 1")
-        if self.tol is not None and not (0 < self.tol < 1):
-            raise ValueError("--tol must be in (0, 1)")
-        if self.contours is not None and self.contours < 3:
-            raise ValueError("--contours must be >= 3")
 
 
 def build_parser():
@@ -144,18 +119,8 @@ def load_description(path):
 
 def _q_matrix_from_coeffs(g):
     # d = 2 only: g(x) = x'Qx with Q_ii = g_{2e_i}, Q_ij = g_{e_i+e_j}/2
-    n = g.n
-    Q = np.zeros((n, n))
-    for i in range(n):
-        e = [0] * n
-        e[i] = 2
-        Q[i, i] = g.coeff(tuple(e))
-        for j in range(i + 1, n):
-            e = [0] * n
-            e[i] = 1
-            e[j] = 1
-            Q[i, j] = Q[j, i] = 0.5 * g.coeff(tuple(e))
-    return Q
+    Q = g.coeff_vector[_hessian_alias(g.n, 1)]
+    return np.where(np.eye(g.n, dtype=bool), Q, 0.5 * Q)
 
 
 def _check_contour_dimension(n):
@@ -274,44 +239,51 @@ def _report_payload(cs, mode, degree, report, center, cert, audit, quad, quad_to
     return payload
 
 
-def run(job):
-    """Execute a job; returns the process exit code.
+def run(args):
+    """Execute the job of a parsed build_parser() namespace; returns the
+    process exit code.
 
-    The JSON report goes to job.out or stdout; contour geometry (when
+    The JSON report goes to args.out or stdout; contour geometry (when
     requested) goes next to the report as '<out stem>_contours.csv', or
     'homfit_contours.csv' in the working directory when no --out is set.
     """
     try:
-        job.validate()
-        k = load_description(job.input_path)
-        if job.contours is not None:
+        if args.degree < 2 or args.degree % 2:
+            raise ValueError(f"--degree must be even and >= 2, got {args.degree}")
+        if args.budget < 1:
+            raise ValueError("--budget must be >= 1")
+        if args.tol is not None and not (0 < args.tol < 1):
+            raise ValueError("--tol must be in (0, 1)")
+        if args.contours is not None and args.contours < 3:
+            raise ValueError("--contours must be >= 3")
+        k = load_description(args.input)
+        if args.contours is not None:
             _check_contour_dimension(k.n)
     except ValueError as exc:
         _emit_error("parse", str(exc))
         return EXIT_PARSE
 
-    config = (SolverConfig() if job.tol is None
-              else SolverConfig(kkt_tolerance=job.tol))
+    config = (SolverConfig() if args.tol is None
+              else SolverConfig(kkt_tolerance=args.tol))
 
     try:
-        cs = to_constraints(k, budget=job.budget, seed=job.seed)
-        if job.mode == "p":
-            centered = solve_min_volume_centered(cs, job.degree, config)
+        cs = to_constraints(k, budget=args.budget, seed=args.seed)
+        if args.mode == "p":
+            centered = solve_min_volume_centered(cs, args.degree, config)
             report, center = centered.inner, centered.center
         else:
-            report = solve_min_volume(cs, job.degree, config)
+            report = solve_min_volume(cs, args.degree, config)
             center = np.zeros(k.n)
         try:
-            cert = build_certificate(report, _shifted(cs, center), config.quadrature)
+            cert = build_certificate(report, _shifted(cs, center))
         except CertificateError:
             cert = None
         audit = inclusion_check(report.g_star, center, k,
-                                audit_budget=job.budget, seed=job.seed + 1)
-        quad_info = getattr(report.moment_data, "quadrature_info", {}) or {}
-        payload = _report_payload(cs, job.mode, job.degree, report, center,
-                                  cert, audit, quad_info,
+                                audit_budget=args.budget, seed=args.seed + 1)
+        payload = _report_payload(cs, args.mode, args.degree, report, center,
+                                  cert, audit, report.moment_data.quadrature_info,
                                   config.quadrature.tolerance)
-        if job.mode == "p":
+        if args.mode == "p":
             payload["outer"] = {
                 "iterations": centered.outer_iterations,
                 "inner_solves": centered.evaluations,
@@ -326,19 +298,19 @@ def run(job):
         _emit_error("convergence", str(exc))
         return EXIT_CONVERGENCE
 
-    if job.contours is not None:
+    if args.contours is not None:
         try:
-            contour_path = (str(Path(job.out).with_suffix("")) + "_contours.csv"
-                            if job.out else "homfit_contours.csv")
-            emit_contours(report.g_star, center, job.contours, contour_path)
+            contour_path = (str(Path(args.out).with_suffix("")) + "_contours.csv"
+                            if args.out else "homfit_contours.csv")
+            emit_contours(report.g_star, center, args.contours, contour_path)
             payload["contours_path"] = contour_path
         except NotInConeError as exc:
             _emit_error("convergence", str(exc))
             return EXIT_CONVERGENCE
 
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if job.out:
-        Path(job.out).write_text(text + "\n")
+    if args.out:
+        Path(args.out).write_text(text + "\n")
     else:
         print(text)
     return EXIT_OK
@@ -356,11 +328,7 @@ def _emit_error(kind, message):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    job = JobConfig(input_path=args.input, degree=args.degree, mode=args.mode,
-                    budget=args.budget, seed=args.seed, tol=args.tol,
-                    out=args.out, contours=args.contours)
-    return run(job)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

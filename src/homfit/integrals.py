@@ -43,8 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotInConeError
-from .polynomials import (HomogeneousPoly, MultiIndex, basis_for,
-                          monomial_matrix, positivity_floor)
+from .polynomials import (MultiIndex, basis_for, monomial_matrix,
+                          positivity_floor)
 from .spheres import grid_size, half_grid_factors, resolution_for_budget
 
 __all__ = [
@@ -89,30 +89,22 @@ class MomentVector:
     """Moments of exp(-g): total mass y0, the degree-d slice, and
     optionally the degree-2d slice (Hessian data).
 
-    moments_d maps each |a| = d multi-index to I_a; moments_2d, when
-    present, covers |a| = 2d.
+    slice_d[k] is I_a for a the k-th member of basis_for(n, d); slice_2d,
+    when present, is aligned with basis_for(n, 2d) in the same way.
     """
 
     n: int
     degree: int
     y0: float
-    moments_d: dict
-    moments_2d: dict | None = None
+    slice_d: np.ndarray
+    slice_2d: np.ndarray | None = None
     quadrature_info: dict = field(default_factory=dict)
-
-    def vector_d(self):
-        """Degree-d moments as an array aligned with the graded-lex basis."""
-        basis = basis_for(self.n, self.degree)
-        return np.array([self.moments_d[ix] for ix in basis])
 
     def hessian_matrix(self):
         """Matrix H[a, b] = I_{a+b} over the degree-d basis (needs 2d slice)."""
-        if self.moments_2d is None:
+        if self.slice_2d is None:
             raise ValueError("2d moments were not computed; pass include_2d=True")
-        basis = basis_for(self.n, self.degree)
-        alias = _hessian_alias(self.n, self.degree)
-        big = np.array([self.moments_2d[ix] for ix in basis_for(self.n, 2 * self.degree)])
-        return big[alias]
+        return self.slice_2d[_hessian_alias(self.n, self.degree)]
 
 
 @lru_cache(maxsize=64)
@@ -301,15 +293,10 @@ def moment_vector(g, spec=None, include_2d=False, hint=None):
     totals, info = _angular_integrals(g, slices, spec, hint=hint)
 
     y0 = _radial_factor(n, d, 0) * float(totals[0][0])
-    fac_d = _radial_factor(n, d, d)
-    moments_d = {ix: fac_d * float(v) for ix, v in zip(basis_for(n, d), totals[1])}
-    moments_2d = None
-    if include_2d:
-        fac_2d = _radial_factor(n, d, 2 * d)
-        moments_2d = {ix: fac_2d * float(v)
-                      for ix, v in zip(basis_for(n, 2 * d), totals[2])}
-    return MomentVector(n=n, degree=d, y0=y0, moments_d=moments_d,
-                        moments_2d=moments_2d, quadrature_info=info)
+    slice_2d = _radial_factor(n, d, 2 * d) * totals[2] if include_2d else None
+    return MomentVector(n=n, degree=d, y0=y0,
+                        slice_d=_radial_factor(n, d, d) * totals[1],
+                        slice_2d=slice_2d, quadrature_info=info)
 
 
 class CrosscheckResult(NamedTuple):

@@ -31,11 +31,6 @@ __all__ = [
 ]
 
 
-def _grlex_key(exponents):
-    # total degree, then descending lex inside the degree block
-    return (sum(exponents), tuple(-e for e in exponents))
-
-
 class MultiIndex(tuple):
     """Exponent vector of a monomial.
 
@@ -67,18 +62,6 @@ class MultiIndex(tuple):
     @classmethod
     def from_key(cls, key):
         return cls(int(part) for part in key.split(","))
-
-    def __lt__(self, other):
-        return _grlex_key(self) < _grlex_key(tuple(other))
-
-    def __le__(self, other):
-        return _grlex_key(self) <= _grlex_key(tuple(other))
-
-    def __gt__(self, other):
-        return _grlex_key(self) > _grlex_key(tuple(other))
-
-    def __ge__(self, other):
-        return _grlex_key(self) >= _grlex_key(tuple(other))
 
     def __repr__(self):
         return f"MultiIndex({tuple(self)!r})"
@@ -134,12 +117,6 @@ class BasisEnumeration:
             return self._position[key]
         except KeyError:
             raise KeyError(f"{tuple(key)} is not in the degree-{self.degree} slice") from None
-
-    def __contains__(self, alpha):
-        try:
-            return MultiIndex(alpha) in self._position
-        except (ValueError, TypeError):
-            return False
 
     def monomials(self, x):
         """Evaluate every basis monomial at the given points.
@@ -326,9 +303,6 @@ class HomogeneousPoly:
             shifted, factor = _differentiate(self.basis.exponents, (j,))
             out[:, j] = monomial_matrix(arr, shifted) @ (self.coeff_vector * factor)
         return out[0] if np.asarray(x).ndim == 1 else out
-
-    def min_on_sphere(self, angular_budget=None):
-        return min_on_sphere(self, angular_budget)
 
     def __add__(self, other):
         if not isinstance(other, HomogeneousPoly):

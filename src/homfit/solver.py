@@ -85,13 +85,13 @@ class SolverConfig:
 class SolveReport:
     """Everything a solve produced.
 
-    dual_weights maps point index -> multiplier for the active
-    constraints; multipliers_array() expands to a dense vector.
-    kkt_residual is measured in the solver's whitened frame (scatter =
-    identity), where it is free of coefficient-cancellation noise; the
-    certificate module re-measures residuals in the original frame.
-    The multipliers and moment_data (y0 and the degree-d slice) are exact
-    maps of the final whitened ones; quadrature_info is that call's.
+    multipliers holds one nonnegative weight per constraint point, in the
+    user's frame, zero off the contact points.  kkt_residual is measured
+    in the solver's whitened frame (scatter = identity), where it is free
+    of coefficient-cancellation noise; the certificate module re-measures
+    residuals in the original frame.  The multipliers and moment_data (y0
+    and the degree-d slice) are exact maps of the final whitened ones;
+    quadrature_info is that call's.
     """
 
     g_star: HomogeneousPoly
@@ -101,13 +101,8 @@ class SolveReport:
     stages: int
     t_final: float
     kkt_residual: float
-    dual_weights: dict
-    active_indices: np.ndarray
-    moment_data: object = None           # MomentVector at g_star, exact map
-
-    def multipliers_array(self, m=None):
-        size = m if m is not None else (max(self.dual_weights) + 1 if self.dual_weights else 0)
-        return _dense_multipliers(self.dual_weights, size)
+    multipliers: np.ndarray
+    moment_data: MomentVector            # at g_star, exact map
 
 
 def initial_guess(cs, degree, margin=FEASIBILITY_MARGIN):
@@ -132,7 +127,7 @@ def objective_grad_hess(g, spec=None, hint=None):
     Returns (f, grad, hess, moment_data).
     """
     mv = moment_vector(g, spec or DEFAULT_QUADRATURE, include_2d=True, hint=hint)
-    grad = -mv.vector_d()
+    grad = -mv.slice_d
     hess = mv.hessian_matrix()
     return mv.y0, grad, hess, mv
 
@@ -143,27 +138,17 @@ def kkt_residual(g, multipliers, cs, spec=None):
     max of: stationarity |sum_i lambda_i x_i^a - I_a|_inf, complementary
     slackness max_i |lambda_i (1 - g(x_i))|, and primal feasibility
     max_i (g(x_i) - 1)_+, all divided by the total mass y0.
-    Multipliers must be nonnegative (dict over indices or dense array).
+    multipliers is one nonnegative weight per point of cs.
     """
-    lam = _dense_multipliers(multipliers, len(cs))
+    lam = np.asarray(multipliers, dtype=float).reshape(-1)
+    if lam.shape[0] != len(cs):
+        raise ValueError(f"expected {len(cs)} multipliers, got {lam.shape[0]}")
     if np.any(lam < -1e-15):
         raise ValueError("multipliers must be nonnegative")
     mv = moment_vector(g, spec or DEFAULT_QUADRATURE, include_2d=False)
     V = basis_for(cs.n, g.degree).monomials(cs.points)
     slack = 1.0 - V @ g.coeff_vector
-    return _residual_from_parts(V, lam, mv.vector_d(), slack, mv.y0)
-
-
-def _dense_multipliers(multipliers, m):
-    if isinstance(multipliers, dict):
-        out = np.zeros(m)
-        for i, w in multipliers.items():
-            out[int(i)] = float(w)
-        return out
-    arr = np.asarray(multipliers, dtype=float).reshape(-1)
-    if arr.shape[0] != m:
-        raise ValueError(f"expected {m} multipliers, got {arr.shape[0]}")
-    return arr
+    return _residual_from_parts(V, lam, mv.slice_d, slack, mv.y0)
 
 
 def _polish_multipliers(V, slack, yd, activity_tol):
@@ -171,13 +156,13 @@ def _polish_multipliers(V, slack, yd, activity_tol):
 
     Minimum-norm solution first (symmetric data gets symmetric weights);
     if any weight comes out negative beyond roundoff, refit with a
-    nonnegativity constraint.  Returns (dense lambda, active index array).
+    nonnegativity constraint.  Returns the dense lambda, zero off the
+    active set.
     """
     active = np.flatnonzero(slack <= activity_tol)
-    m = V.shape[0]
-    lam = np.zeros(m)
+    lam = np.zeros(V.shape[0])
     if active.size == 0:
-        return lam, active
+        return lam
     A = V[active].T
     fit, *_ = np.linalg.lstsq(A, yd, rcond=None)
     floor = -1e-10 * max(float(np.max(np.abs(fit))), 1.0)
@@ -185,7 +170,7 @@ def _polish_multipliers(V, slack, yd, activity_tol):
         from scipy.optimize import nnls
         fit, _ = nnls(A, yd)
     lam[active] = np.clip(fit, 0.0, None)
-    return lam, active
+    return lam
 
 
 def _whiten(points, message):
@@ -243,8 +228,7 @@ def solve_min_volume(cs, degree, config=None, start=None):
                            "subspace; no finite-volume enclosure exists")
     det_L = float(np.prod(np.diag(L)))
 
-    basis = basis_for(n, degree)
-    V = basis.monomials(points)
+    V = basis_for(n, degree).monomials(points)
 
     gvec = None
     if start is not None:
@@ -271,8 +255,8 @@ def solve_min_volume(cs, degree, config=None, start=None):
                          context=lambda: f" (last residual {res:.3e})")
     for gvec, t, stages, total_newton, state in path:
         y0, slack, mv_full = state[0], state[4], state[-1]
-        yd = mv_full.vector_d()
-        lam, active = _polish_multipliers(V, slack, yd, config.activity_tol)
+        yd = mv_full.slice_d
+        lam = _polish_multipliers(V, slack, yd, config.activity_tol)
         res = _residual_from_parts(V, lam, yd, slack, y0)
         if res <= config.kkt_tolerance:
             info = mv_full.quadrature_info
@@ -293,11 +277,8 @@ def solve_min_volume(cs, degree, config=None, start=None):
                 g_star=g_out, objective=objective,
                 volume=objective / math.gamma(1.0 + n / degree),
                 iterations=total_newton, stages=stages, t_final=t,
-                kkt_residual=res, active_indices=active,
-                dual_weights={int(i): float(det_L * lam[i])
-                              for i in active if lam[i] > 0.0},
-                moment_data=MomentVector(n, degree, objective,
-                                         dict(zip(basis, yd_user.tolist())),
+                kkt_residual=res, multipliers=det_L * lam,
+                moment_data=MomentVector(n, degree, objective, yd_user,
                                          quadrature_info=info),
             )
         # gap bound met but the polished residual is not: push the

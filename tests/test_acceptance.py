@@ -84,7 +84,7 @@ def test_criterion_02_gradient_hessian():
     for g in RANDOM_SET:
         basis = basis_for(2, g.degree)
         mv = moment_vector(g, include_2d=True)
-        grad_an = -mv.vector_d()
+        grad_an = -mv.slice_d
         hess_an = mv.hessian_matrix()
         size = len(basis)
         grad_fd = np.empty(size)
@@ -95,8 +95,8 @@ def test_criterion_02_gradient_hessian():
             gp = HomogeneousPoly(2, g.degree, g.coeff_vector + e)
             gm = HomogeneousPoly(2, g.degree, g.coeff_vector - e)
             grad_fd[j] = (integral_exp(gp) - integral_exp(gm)) / (2.0 * eps)
-            yp = moment_vector(gp).vector_d()
-            ym = moment_vector(gm).vector_d()
+            yp = moment_vector(gp).slice_d
+            ym = moment_vector(gm).slice_d
             hess_fd[:, j] = -(yp - ym) / (2.0 * eps)
         rel_g = np.max(np.abs(grad_an - grad_fd)) / np.max(np.abs(grad_an))
         rel_h = np.max(np.abs(hess_an - hess_fd)) / np.max(np.abs(hess_an))
@@ -111,7 +111,7 @@ def test_criterion_03_euler_identity():
     worst = 0.0
     for g in RANDOM_SET:
         mv = moment_vector(g)
-        lhs = float(g.coeff_vector @ mv.vector_d())
+        lhs = float(g.coeff_vector @ mv.slice_d)
         gap = abs(lhs - (2.0 / g.degree) * mv.y0) / mv.y0
         worst = max(worst, gap)
     ok = worst <= 1e-8

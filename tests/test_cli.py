@@ -82,6 +82,18 @@ def test_odd_degree_exit2(disk_csv, tmp_path, capsys):
     assert "even" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--budget", "0"], "--budget must be >= 1"),
+    (["--tol", "2"], "--tol must be in (0, 1)"),
+    (["--contours", "2"], "--contours must be >= 3"),
+])
+def test_flag_range_exit2(disk_csv, tmp_path, capsys, flags, message):
+    code, payload, _ = run_job(tmp_path, [disk_csv, *flags])
+    assert code == 2 and payload is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {"type": "parse", "message": message}
+
+
 def test_semialgebraic_disk(tmp_path):
     job = tmp_path / "disk.json"
     job.write_text(json.dumps({

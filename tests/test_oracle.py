@@ -76,6 +76,17 @@ def test_mvee_matches_degree2_solver(n, m, cond):
     assert np.max(np.abs(ell.Q - _q_matrix_from_coeffs(rep.g_star))) <= 1e-5
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_q_matrix_is_the_quadratic_form(n):
+    rng = philox(40 + n)
+    g = HomogeneousPoly(n, 2, rng.normal(size=n * (n + 1) // 2))
+    Q = _q_matrix_from_coeffs(g)
+    assert np.array_equal(Q, Q.T)
+    x = rng.normal(size=(50, n))
+    quad = np.einsum("ij,jk,ik->i", x, Q, x)
+    assert np.max(np.abs(quad - g(x))) <= 1e-14 * np.max(np.abs(g(x)))
+
+
 @pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (3, 2), (4, 3)])
 def test_mvee_affine_equivariance(n, seed):
     # the ellipsoid of the points x -> Mx is {y : y'M^-T Q M^-1 y <= 1}

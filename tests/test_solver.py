@@ -27,8 +27,9 @@ def test_disk_four_points(disk4):
     assert rep.objective == pytest.approx(PI, rel=1e-7)
     assert rep.volume == pytest.approx(PI, rel=1e-7)
     # all four contacts active with equal weight pi/4
-    assert sorted(rep.dual_weights) == [0, 1, 2, 3]
-    for w in rep.dual_weights.values():
+    assert rep.multipliers.shape == (4,)
+    assert np.flatnonzero(rep.multipliers).tolist() == [0, 1, 2, 3]
+    for w in rep.multipliers:
         assert w == pytest.approx(PI / 4.0, rel=1e-6)
     assert rep.kkt_residual <= 1e-8
 
@@ -44,11 +45,10 @@ def test_axis_ellipse():
 def test_dual_mass_identity(disk4):
     # sum of multipliers = (n/d) * objective at the optimum
     rep = solve_min_volume(disk4, 2)
-    mass = sum(rep.dual_weights.values())
+    mass = float(rep.multipliers.sum())
     assert mass == pytest.approx((2.0 / 2.0) * rep.objective, rel=1e-7)
-    dense = rep.multipliers_array(len(disk4))
-    assert dense.shape == (4,)
-    assert dense.sum() == pytest.approx(mass)
+    assert rep.multipliers.shape == (4,)
+    assert np.all(rep.multipliers >= 0.0)
 
 
 def test_initial_guess_examples(disk4):
@@ -78,12 +78,12 @@ def test_objective_grad_hess_gaussian():
 
 def test_kkt_residual_disk(disk4):
     g = HomogeneousPoly(2, 2, {(2, 0): 1.0, (0, 2): 1.0})
-    lam = {0: PI / 4.0, 1: PI / 4.0, 2: PI / 4.0, 3: PI / 4.0}
+    lam = np.full(4, PI / 4.0)
     assert kkt_residual(g, lam, disk4) <= 1e-8
     # dropping the multipliers leaves pure stationarity error
     assert kkt_residual(g, np.zeros(4), disk4) == pytest.approx(0.5, rel=1e-8)
     with pytest.raises(ValueError):
-        kkt_residual(g, {0: -1.0}, disk4)
+        kkt_residual(g, np.array([-1.0, 0.0, 0.0, 0.0]), disk4)
     with pytest.raises(ValueError):
         kkt_residual(g, np.ones(3), disk4)
 
@@ -112,9 +112,8 @@ def test_random_cloud_feasible_and_certified():
     vals = rep.g_star(cs.points)
     assert np.max(vals) <= 1.0 + 1e-9
     assert rep.kkt_residual <= 1e-8
-    lam = {i: w for i, w in rep.dual_weights.items()}
     # residual re-measured from scratch in the original frame stays small
-    assert kkt_residual(rep.g_star, lam, cs) <= 1e-5
+    assert kkt_residual(rep.g_star, rep.multipliers, cs) <= 1e-5
 
 
 def test_quartic_cloud_converges():
@@ -210,8 +209,8 @@ def test_user_frame_moments_are_exact_transforms(pts, degree):
     assert rep.moment_data.quadrature_info["converged"] is True
     assert rep.moment_data.y0 == rep.objective
     assert rep.moment_data.y0 == pytest.approx(fresh.y0, rel=1e-9)
-    scale = float(np.max(np.abs(fresh.vector_d())))
-    assert np.max(np.abs(rep.moment_data.vector_d() - fresh.vector_d())) <= 1e-9 * scale
+    scale = float(np.max(np.abs(fresh.slice_d)))
+    assert np.max(np.abs(rep.moment_data.slice_d - fresh.slice_d)) <= 1e-9 * scale
 
 
 def test_spatial_n4_quadratic_certifies():
