@@ -22,7 +22,7 @@ from .constraints import (ConstraintSet, InclusionAudit, KDescription,
 from .errors import (CertificateError, ConvergenceError, DegenerateInputError,
                      EmptySetError, HomfitError, InfeasibleError,
                      NotInConeError, ReductionError)
-from .integrals import (CrosscheckResult, MomentVector, QuadratureSpec,
+from .integrals import (CrosscheckResult, MomentVector,
                         crosscheck_levelset_moment, integral_exp, moment,
                         moment_vector, volume_sublevel)
 from .oracle import EllipsoidOracleResult, McVolume, mc_volume, mvee_symmetric
@@ -40,8 +40,8 @@ __all__ = [
     "DegenerateInputError", "EllipsoidOracleResult", "EmptySetError",
     "HomfitError", "HomogeneousPoly", "InclusionAudit", "InfeasibleError",
     "KDescription", "KktCertificate", "McVolume", "MomentVector",
-    "MultiIndex", "NotInConeError", "QuadratureSpec",
-    "ReductionError", "SolveReport", "SolverConfig", "basis_for",
+    "MultiIndex", "NotInConeError", "ReductionError", "SolveReport",
+    "SolverConfig", "basis_for",
     "build_certificate", "caratheodory_reduce", "compose_linear",
     "contact_moment_matrix", "crosscheck_levelset_moment",
     "dball_contact_check", "enumerate_basis",

@@ -28,13 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificateError, ReductionError
-from .integrals import DEFAULT_QUADRATURE, _hessian_alias, moment_vector
+from .integrals import _hessian_alias, moment_vector
 from .polynomials import HomogeneousPoly, basis_for
-from .solver import SolverConfig, solve_min_volume
+from .solver import solve_min_volume
 
 __all__ = ["KktCertificate", "build_certificate", "caratheodory_reduce",
            "contact_moment_matrix", "gaussian_moment_matrix",
            "dball_contact_check", "DballReport"]
+
+BALL_TOL = 1e-3     # dball_contact_check: largest coefficient gap from the d-ball
 
 
 @dataclass
@@ -58,11 +60,6 @@ class KktCertificate:
     atom_bound: int
     reduced: bool = False
     meta: dict = field(default_factory=dict)
-
-    @property
-    def contacts(self):
-        return [(self.contact_points[j].copy(), float(self.weights[j]))
-                for j in range(len(self.weights))]
 
     def as_dict(self):
         return {
@@ -234,7 +231,7 @@ def contact_moment_matrix(points, weights, n, half_degree):
     return Vh.T @ (np.asarray(weights)[:, None] * Vh)
 
 
-def gaussian_moment_matrix(g, spec=None):
+def gaussian_moment_matrix(g):
     """Integral v(x) v(x)^T exp(-g) dx over the degree-(d/2) monomial map.
 
     Entries are degree-d moments of exp(-g), read off by exponent
@@ -244,7 +241,7 @@ def gaussian_moment_matrix(g, spec=None):
     n, d = g.n, g.degree
     if d % 2:
         raise ValueError("degree must be even")
-    return moment_vector(g, spec).slice_d[_hessian_alias(n, d // 2)]
+    return moment_vector(g).slice_d[_hessian_alias(n, d // 2)]
 
 
 def axis_moment_1d(k, d):
@@ -258,34 +255,33 @@ def axis_moment_1d(k, d):
 @dataclass
 class DballReport:
     """Certificate check for point sets whose optimal enclosure is the
-    unit d-ball {sum x_i^d <= 1}."""
+    unit d-ball {sum x_i^d <= 1}.  residuals[k] belongs to the k-th
+    member of basis_for(n, d)."""
 
     g_deviation: float
     even_residual: float
     odd_residual: float
-    residuals: dict
+    residuals: np.ndarray
     certificate: KktCertificate
 
 
-def dball_contact_check(cs, degree, spec=None, config=None, ball_tol=1e-3):
+def dball_contact_check(cs, degree):
     """Solve for the given points and verify the separable-moment identity.
 
-    Requires the optimum to be (numerically) the d-ball sum x_i^d; then
-    for every |a| = d the certificate atoms must satisfy
+    Requires the optimum to be the d-ball sum x_i^d, to BALL_TOL in every
+    coefficient; then for every |a| = d the certificate atoms must satisfy
 
         sum_j lambda_j x_j^a = prod_i Integral_R t^{a_i} exp(-t^d) dt,
 
     which vanishes whenever any a_i is odd.  Returns the per-index
-    residuals split into even and odd groups.
+    residuals and their worst value over the even and the odd indices.
     """
-    spec = spec or DEFAULT_QUADRATURE
-    config = config or SolverConfig(quadrature=spec)
-    report = solve_min_volume(cs, degree, config)
+    report = solve_min_volume(cs, degree)
     g = report.g_star
     n = g.n
     ball = HomogeneousPoly.sum_of_powers(n, degree)
     dev = float(np.max(np.abs(g.coeff_vector - ball.coeff_vector)))
-    if dev > ball_tol:
+    if dev > BALL_TOL:
         raise CertificateError(
             f"optimal polynomial deviates from the d-ball by {dev:.3e}; "
             f"the separable identity does not apply"
@@ -293,18 +289,11 @@ def dball_contact_check(cs, degree, spec=None, config=None, ball_tol=1e-3):
     cert = build_certificate(report, cs, reduce_atoms=False)
     pts, w = cert.contact_points, cert.weights
     basis = basis_for(n, degree)
-    sums = basis.monomials(pts).T @ w
-    residuals = {}
-    even_worst = 0.0
-    odd_worst = 0.0
-    for k, alpha in enumerate(basis):
-        expected = math.prod(axis_moment_1d(a, degree) for a in alpha)
-        r = float(abs(sums[k] - expected))
-        residuals[alpha] = r
-        if any(a % 2 for a in alpha):
-            odd_worst = max(odd_worst, r)
-        else:
-            even_worst = max(even_worst, r)
-    return DballReport(g_deviation=dev, even_residual=even_worst,
-                       odd_residual=odd_worst, residuals=residuals,
-                       certificate=cert)
+    axis = np.array([axis_moment_1d(k, degree) for k in range(degree + 1)])
+    expected = np.prod(axis[basis.exponents], axis=1)
+    residuals = np.abs(basis.monomials(pts).T @ w - expected)
+    odd = np.any(basis.exponents % 2 == 1, axis=1)
+    return DballReport(g_deviation=dev,
+                       even_residual=float(residuals[~odd].max(initial=0.0)),
+                       odd_residual=float(residuals[odd].max(initial=0.0)),
+                       residuals=residuals, certificate=cert)

@@ -26,12 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import integrals
 from .centering import solve_min_volume_centered
 from .certificate import build_certificate
 from .constraints import ConstraintSet, KDescription, inclusion_check, to_constraints
 from .errors import (CertificateError, ConvergenceError, DegenerateInputError,
                      EmptySetError, InfeasibleError, NotInConeError)
-from .integrals import _hessian_alias
 from .oracle import mvee_symmetric
 from .polynomials import positivity_floor
 from .solver import SolverConfig, solve_min_volume
@@ -78,7 +78,10 @@ def load_description(path):
     p = Path(path)
     if not p.exists():
         raise ValueError(f"input file not found: {path}")
-    text = p.read_text()
+    try:
+        text = p.read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     if p.suffix.lower() == ".json" or text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
@@ -119,7 +122,7 @@ def load_description(path):
 
 def _q_matrix_from_coeffs(g):
     # d = 2 only: g(x) = x'Qx with Q_ii = g_{2e_i}, Q_ij = g_{e_i+e_j}/2
-    Q = g.coeff_vector[_hessian_alias(g.n, 1)]
+    Q = g.coeff_vector[integrals._hessian_alias(g.n, 1)]
     return np.where(np.eye(g.n, dtype=bool), Q, 0.5 * Q)
 
 
@@ -191,8 +194,9 @@ def emit_contours(g, center, resolution, path):
                     writer.writerow(tri_row(b, c, e))
 
 
-def _report_payload(cs, mode, degree, report, center, cert, audit, quad, quad_tol):
+def _report_payload(cs, mode, degree, report, center, cert, audit):
     g = report.g_star
+    quad = report.moment_data.quadrature_info
     payload = {
         "mode": mode,
         "degree": degree,
@@ -217,7 +221,7 @@ def _report_payload(cs, mode, degree, report, center, cert, audit, quad, quad_to
             "points": quad.get("points"),
             "converged": quad.get("converged"),
             "last_delta": quad.get("last_delta"),
-            "tolerance": quad_tol,
+            "tolerance": integrals.TOLERANCE,
         },
         "oracle": None,
     }
@@ -252,10 +256,18 @@ def run(args):
             raise ValueError(f"--degree must be even and >= 2, got {args.degree}")
         if args.budget < 1:
             raise ValueError("--budget must be >= 1")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         if args.tol is not None and not (0 < args.tol < 1):
             raise ValueError("--tol must be in (0, 1)")
         if args.contours is not None and args.contours < 3:
             raise ValueError("--contours must be >= 3")
+        if args.out:
+            out = Path(args.out)
+            if out.is_dir():
+                raise ValueError(f"--out {args.out} is a directory")
+            if not out.parent.is_dir():
+                raise ValueError(f"--out directory {out.parent} does not exist")
         k = load_description(args.input)
         if args.contours is not None:
             _check_contour_dimension(k.n)
@@ -281,8 +293,7 @@ def run(args):
         audit = inclusion_check(report.g_star, center, k,
                                 audit_budget=args.budget, seed=args.seed + 1)
         payload = _report_payload(cs, args.mode, args.degree, report, center,
-                                  cert, audit, report.moment_data.quadrature_info,
-                                  config.quadrature.tolerance)
+                                  cert, audit)
         if args.mode == "p":
             payload["outer"] = {
                 "iterations": centered.outer_iterations,

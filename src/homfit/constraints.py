@@ -11,6 +11,7 @@ up active, so those points matter most).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +27,8 @@ class _PolyIneq:
     """General polynomial from a {multi-index: coefficient} map."""
 
     def __init__(self, coeff_map, n):
+        if not isinstance(coeff_map, Mapping):
+            raise ValueError("each inequality must map exponent keys to coefficients")
         exps = []
         coeffs = []
         for key, value in coeff_map.items():
@@ -53,6 +56,8 @@ class KDescription:
             pts = np.atleast_2d(np.asarray(points, dtype=float))
             if pts.size == 0:
                 raise ValueError("point list is empty")
+            if pts.ndim != 2:
+                raise ValueError("points must be an (m, n) array")
             if not np.all(np.isfinite(pts)):
                 raise ValueError("points must be finite")
             self.points = pts
@@ -65,8 +70,10 @@ class KDescription:
         box = np.asarray(box, dtype=float)
         if box.ndim != 2 or box.shape[1] != 2:
             raise ValueError("box must be an (n, 2) array of [lo, hi] rows")
-        if not np.all(np.isfinite(box)) or not np.all(box[:, 0] < box[:, 1]):
-            raise ValueError("box rows must be finite with lo < hi")
+        with np.errstate(over="ignore"):        # an infinite width is rejected below
+            width = box[:, 1] - box[:, 0]
+        if not np.all(np.isfinite(width)) or not np.all(width > 0):
+            raise ValueError("box rows must have lo < hi and a finite width")
         self.n = box.shape[0]
         self.points = None
         self.box = box

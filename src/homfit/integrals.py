@@ -9,9 +9,11 @@ closed form gives, for any multi-index a,
 
 so every moment is a smooth integral over the unit sphere.  The sphere
 integral is evaluated on the Gauss product grid of `spheres`, whose
-resolution doubles until two consecutive levels agree to the requested
-tolerance.  Gauss levels are not nested, so the self-check compares the
-accuracy of two rules rather than refining one.
+resolution doubles from about START_POINTS nodes until two consecutive
+levels agree to TOLERANCE (relative) or the next level would exceed
+MAX_POINTS; both sizes count the full sphere grid, although only half of
+its nodes are evaluated.  Gauss levels are not nested, so the self-check
+compares the accuracy of two rules rather than refining one.
 
 g has even degree, so for even |a| the integrand is even and is summed on
 half_sphere_grid (one node per antipodal pair) at half the cost; point
@@ -48,7 +50,6 @@ from .polynomials import (MultiIndex, basis_for, monomial_matrix,
 from .spheres import grid_size, half_grid_factors, resolution_for_budget
 
 __all__ = [
-    "QuadratureSpec",
     "MomentVector",
     "integral_exp",
     "volume_sublevel",
@@ -58,30 +59,10 @@ __all__ = [
     "CrosscheckResult",
 ]
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Angular quadrature settings.
-
-    angular_points is the starting grid size (doubled until converged or
-    max_points would be exceeded); tolerance is the relative agreement
-    required between consecutive doublings.  Both sizes count the full
-    sphere grid, although only half of its nodes are evaluated.
-    """
-
-    angular_points: int = 64
-    tolerance: float = 1e-10
-    max_points: int = 1 << 20
-
-    def __post_init__(self):
-        if self.angular_points < 16:
-            raise ValueError("angular_points must be >= 16")
-        if not (self.tolerance > 0):
-            raise ValueError("tolerance must be positive")
-        if self.max_points < self.angular_points:
-            raise ValueError("max_points must be >= angular_points")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# The ladder's settings, read at call time.
+START_POINTS = 64            # grid size of the first level
+TOLERANCE = 1e-10            # relative agreement of consecutive levels
+MAX_POINTS = 1 << 20         # cap on the grid size of any level
 
 
 @dataclass
@@ -152,13 +133,14 @@ def _work_arrays(count, rows, cols):
     return _workspace.buf[:size].reshape(count, rows, cols)
 
 
-def _angular_integrals(g, slices, spec, hint=None):
+def _angular_integrals(g, slices, hint=None):
     """Sphere integrals of u^a * g(u)^(-(n+k)/d) for each (exponents, k) slice,
     k even (the half rule integrates even integrands only).
 
-    Returns (list of per-slice arrays, info dict).  Doubles the grid until
-    two consecutive levels agree within spec.tolerance (each slice scaled
-    by its own largest component) or the point cap is reached.
+    Returns (list of per-slice arrays, info dict).  Doubles the grid from
+    about START_POINTS nodes until two consecutive levels agree within
+    TOLERANCE (each slice scaled by its own largest component) or the next
+    level would exceed MAX_POINTS.
 
     `hint` is an optional mutable dict carrying the resolution that
     converged last time for a similar integrand; the ladder then starts
@@ -211,9 +193,9 @@ def _angular_integrals(g, slices, spec, hint=None):
             gap = float(np.max(np.abs(a - b))) if a.size else 0.0
             scale = max(float(np.max(np.abs(a))) if a.size else 0.0, 1e-300)
             worst = max(worst, gap / scale)
-        return worst <= spec.tolerance, worst
+        return worst <= TOLERANCE, worst
 
-    base = resolution_for_budget(n, spec.angular_points)
+    base = resolution_for_budget(n, START_POINTS)
     res = base
     if hint and hint.get("res"):
         res = max(base, int(hint["res"]) // 2)
@@ -229,7 +211,7 @@ def _angular_integrals(g, slices, spec, hint=None):
                 return totals, {"points": count, "converged": True,
                                 "last_delta": delta}
         prev = totals
-        if grid_size(n, res * 2) > spec.max_points:
+        if grid_size(n, res * 2) > MAX_POINTS:
             if hint is not None:
                 hint["res"] = res
             return totals, {"points": count, "converged": False,
@@ -241,15 +223,14 @@ def _radial_factor(n, d, k):
     return math.gamma((n + k) / d) / d
 
 
-def integral_exp(g, spec=None, hint=None):
+def integral_exp(g, hint=None):
     """Total mass Integral exp(-g(x)) dx over R^n."""
-    spec = spec or DEFAULT_QUADRATURE
     zero = np.zeros((1, g.n), dtype=np.int64)
-    totals, _ = _angular_integrals(g, [(zero, 0)], spec, hint=hint)
+    totals, _ = _angular_integrals(g, [(zero, 0)], hint=hint)
     return _radial_factor(g.n, g.degree, 0) * float(totals[0][0])
 
 
-def volume_sublevel(g, y, spec=None):
+def volume_sublevel(g, y):
     """Lebesgue volume of {x : g(x) <= y}.
 
     vol = y^(n/d) / Gamma(1 + n/d) * Integral exp(-g); zero at y = 0,
@@ -260,23 +241,22 @@ def volume_sublevel(g, y, spec=None):
     if y == 0:
         return 0.0
     n, d = g.n, g.degree
-    return y ** (n / d) / math.gamma(1.0 + n / d) * integral_exp(g, spec)
+    return y ** (n / d) / math.gamma(1.0 + n / d) * integral_exp(g)
 
 
-def moment(g, alpha, spec=None):
+def moment(g, alpha):
     """Single moment Integral x^alpha exp(-g) dx for any multi-index."""
-    spec = spec or DEFAULT_QUADRATURE
     alpha = MultiIndex(alpha)
     if len(alpha) != g.n:
         raise ValueError("multi-index dimension mismatch")
     if alpha.degree % 2:
         return 0.0      # odd integrand on a symmetric domain
     exps = np.array([tuple(alpha)], dtype=np.int64)
-    totals, _ = _angular_integrals(g, [(exps, alpha.degree)], spec)
+    totals, _ = _angular_integrals(g, [(exps, alpha.degree)])
     return _radial_factor(g.n, g.degree, alpha.degree) * float(totals[0][0])
 
 
-def moment_vector(g, spec=None, include_2d=False, hint=None):
+def moment_vector(g, include_2d=False, hint=None):
     """All moments needed by the optimizer, in one angular pass.
 
     Computes y0 and the full degree-d slice; with include_2d also the
@@ -284,13 +264,12 @@ def moment_vector(g, spec=None, include_2d=False, hint=None):
     exponent addition).  `hint` as in the angular integrator: a mutable
     dict remembering the converged grid resolution between calls.
     """
-    spec = spec or DEFAULT_QUADRATURE
     n, d = g.n, g.degree
     slices = [(np.zeros((1, n), dtype=np.int64), 0),
               (basis_for(n, d).exponents, d)]
     if include_2d:
         slices.append((basis_for(n, 2 * d).exponents, 2 * d))
-    totals, info = _angular_integrals(g, slices, spec, hint=hint)
+    totals, info = _angular_integrals(g, slices, hint=hint)
 
     y0 = _radial_factor(n, d, 0) * float(totals[0][0])
     slice_2d = _radial_factor(n, d, 2 * d) * totals[2] if include_2d else None
@@ -306,17 +285,16 @@ class CrosscheckResult(NamedTuple):
     std_error: float
 
 
-def crosscheck_levelset_moment(g, alpha, spec=None, mc_budget=200_000, seed=0):
+def crosscheck_levelset_moment(g, alpha, mc_budget=200_000, seed=0):
     """Check I_alpha = Gamma(1 + (n+|a|)/d) * Integral_{g<=1} x^a dx.
 
     The left side comes from the angular quadrature, the right from a
     Monte-Carlo estimate over the bounding box of {g <= 1}; 'agree' means
     the two differ by at most four Monte-Carlo standard errors.
     """
-    spec = spec or DEFAULT_QUADRATURE
     alpha = MultiIndex(alpha)
     n, d = g.n, g.degree
-    lhs = moment(g, alpha, spec)
+    lhs = moment(g, alpha)
 
     from .polynomials import check_in_cone
     smin = check_in_cone(g)

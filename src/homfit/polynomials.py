@@ -266,13 +266,13 @@ class HomogeneousPoly:
         self.coeff_vector = vec
 
     @classmethod
-    def sum_of_powers(cls, n, degree, scale=1.0):
-        """The polynomial scale * (x_1^d + ... + x_n^d)."""
+    def sum_of_powers(cls, n, degree):
+        """The polynomial x_1^d + ... + x_n^d."""
         coeffs = {}
         for i in range(n):
             alpha = [0] * n
             alpha[i] = degree
-            coeffs[tuple(alpha)] = scale
+            coeffs[tuple(alpha)] = 1.0
         return cls(n, degree, coeffs)
 
     def coeff(self, alpha):
@@ -368,15 +368,11 @@ def compose_linear(g, M):
     return HomogeneousPoly(g.n, g.degree, power_matrix(M, g.degree).T @ g.coeff_vector)
 
 
-def _default_budget(n):
-    return {1: 2, 2: 1024, 3: 2048}.get(n, 4096)
-
-
-def min_on_sphere(g, angular_budget=None):
+def min_on_sphere(g):
     """Minimum of g over the unit sphere, and a unit argmin.
 
-    A deterministic grid scan (dimension-matched grid of roughly
-    angular_budget points) seeds a local descent of the scale-invariant
+    A deterministic grid scan (about 1024 points for n = 2, 2048 for
+    n = 3, 4096 above) seeds a local descent of the scale-invariant
     ratio g(x) / |x|^d; the returned value is the smaller of the two, so
     it never exceeds the grid minimum.
 
@@ -386,15 +382,12 @@ def min_on_sphere(g, angular_budget=None):
     """
     from .spheres import resolution_for_budget, sphere_grid
 
-    if angular_budget is not None and angular_budget < 1:
-        raise ValueError("angular_budget must be >= 1")
-    budget = angular_budget or _default_budget(g.n)
-
     if g.n == 1:
         # sphere is {-1, +1}; even degree makes both ends equal
         val = g(np.array([1.0]))
         return float(val), np.array([1.0])
 
+    budget = {2: 1024, 3: 2048}.get(g.n, 4096)
     points, _ = sphere_grid(g.n, resolution_for_budget(g.n, budget))
     values = g(points)
     k = int(np.argmin(values))
@@ -438,9 +431,9 @@ def positivity_floor(g):
     return 1e-8 * top
 
 
-def check_in_cone(g, angular_budget=None):
+def check_in_cone(g):
     """Raise NotInConeError unless g is strictly positive on the sphere."""
-    val, arg = min_on_sphere(g, angular_budget)
+    val, arg = min_on_sphere(g)
     if val <= positivity_floor(g):
         raise NotInConeError(
             f"sphere minimum {val:.3e} at {np.round(arg, 6)} is not strictly "

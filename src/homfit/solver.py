@@ -21,10 +21,11 @@ The barrier path (_barrier_path) and the whitening (_whiten) are shared
 with the centered fit, whose slacks 1 - g(x_i - a) also depend on a
 center a; each caller gives only its slacks and their derivatives.  The
 schedule is fixed: t starts at BARRIER_T0 and grows by
-BARRIER_MULTIPLIER for at most MAX_STAGES stages, and the line search
-backtracks by BACKTRACK_RATIO until Phi_t drops by ARMIJO_SLOPE times
-the predicted decrease.  Both fits start from initial_guess with
-FEASIBILITY_MARGIN headroom.
+BARRIER_MULTIPLIER for at most MAX_STAGES stages, which together take at
+most MAX_NEWTON_ITERS Newton steps, and the line search backtracks by
+BACKTRACK_RATIO until Phi_t drops by ARMIJO_SLOPE times the predicted
+decrease.  Both fits start from initial_guess with FEASIBILITY_MARGIN
+headroom.
 
 The inner loop stops on the Newton decrement, not the gradient norm: at
 large t the gradient is dominated by roundoff in (1 - g(x_i)) at active
@@ -46,13 +47,12 @@ activity_tol, the slack that separates contacts from interior points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateInputError, NotInConeError
-from .integrals import (DEFAULT_QUADRATURE, MomentVector, QuadratureSpec,
-                        integral_exp, moment_vector)
+from .integrals import MomentVector, integral_exp, moment_vector
 from .polynomials import (HomogeneousPoly, basis_for, check_in_cone,
                           compose_linear, power_matrix)
 
@@ -62,6 +62,7 @@ __all__ = ["SolverConfig", "SolveReport", "initial_guess", "objective_grad_hess"
 BARRIER_T0 = 1.0             # barrier weight t of the first stage
 BARRIER_MULTIPLIER = 10.0    # growth of t from one stage to the next
 MAX_STAGES = 60
+MAX_NEWTON_ITERS = 400       # damped Newton steps across all stages
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_RATIO = 0.5
 FEASIBILITY_MARGIN = 0.01    # initial-guess headroom
@@ -70,15 +71,11 @@ FEASIBILITY_MARGIN = 0.01    # initial-guess headroom
 @dataclass(frozen=True)
 class SolverConfig:
     kkt_tolerance: float = 1e-8
-    max_newton_iters: int = 400          # total damped steps across all stages
     activity_tol: float = 1e-6           # slack threshold for the active set
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
         if not (0 < self.kkt_tolerance < 1):
             raise ValueError("kkt_tolerance must be in (0, 1)")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be >= 1")
 
 
 @dataclass
@@ -120,19 +117,19 @@ def initial_guess(cs, degree, margin=FEASIBILITY_MARGIN):
     return base * (1.0 / ((1.0 + margin) * top))
 
 
-def objective_grad_hess(g, spec=None, hint=None):
+def objective_grad_hess(g, hint=None):
     """Objective f(g) = Integral exp(-g), its gradient and Hessian in the
     coefficient basis: grad_a = -I_a, hess_ab = I_{a+b}.
 
     Returns (f, grad, hess, moment_data).
     """
-    mv = moment_vector(g, spec or DEFAULT_QUADRATURE, include_2d=True, hint=hint)
+    mv = moment_vector(g, include_2d=True, hint=hint)
     grad = -mv.slice_d
     hess = mv.hessian_matrix()
     return mv.y0, grad, hess, mv
 
 
-def kkt_residual(g, multipliers, cs, spec=None):
+def kkt_residual(g, multipliers, cs):
     """Scaled KKT error for a candidate (g, multipliers) pair.
 
     max of: stationarity |sum_i lambda_i x_i^a - I_a|_inf, complementary
@@ -145,7 +142,7 @@ def kkt_residual(g, multipliers, cs, spec=None):
         raise ValueError(f"expected {len(cs)} multipliers, got {lam.shape[0]}")
     if np.any(lam < -1e-15):
         raise ValueError("multipliers must be nonnegative")
-    mv = moment_vector(g, spec or DEFAULT_QUADRATURE, include_2d=False)
+    mv = moment_vector(g)
     V = basis_for(cs.n, g.degree).monomials(cs.points)
     slack = 1.0 - V @ g.coeff_vector
     return _residual_from_parts(V, lam, mv.slice_d, slack, mv.y0)
@@ -308,16 +305,15 @@ def _barrier_path(x, n, degree, slacks, config, label="", context=lambda: ""):
     m/t <= kkt_tolerance * y0, yields (x, t, stages, Newton steps so far,
     state), state being (y0, Phi_t, gradient, Hessian, s, D, moment
     vector) at x.  Raises ConvergenceError, its message `label` + reason +
-    context(), when the Newton budget or MAX_STAGES runs out.
+    context(), when MAX_NEWTON_ITERS or MAX_STAGES runs out.
     """
     size = len(basis_for(n, degree))
-    spec = config.quadrature
     hint = {}
     hint_phi = {}     # separate ladder memory: phi needs only the mass slice
 
     def derivatives(x, t):
         y0, grad_f, hess_f, mv = objective_grad_hess(
-            HomogeneousPoly(n, degree, x[:size]), spec, hint)
+            HomogeneousPoly(n, degree, x[:size]), hint)
         s, D, curvature = slacks(x, True)
         if curvature is None:       # one m x size temporary per step
             grad = t * grad_f + D.T @ (1.0 / s)
@@ -338,7 +334,7 @@ def _barrier_path(x, n, degree, slacks, config, label="", context=lambda: ""):
         if np.any(s <= 0.0):
             return np.inf
         try:
-            y0 = integral_exp(HomogeneousPoly(n, degree, x[:size]), spec,
+            y0 = integral_exp(HomogeneousPoly(n, degree, x[:size]),
                               hint=hint_phi)
         except NotInConeError:
             return np.inf
@@ -348,13 +344,13 @@ def _barrier_path(x, n, degree, slacks, config, label="", context=lambda: ""):
     total = 0
     for stage in range(1, MAX_STAGES + 1):
         x, steps, state = _newton_stage(x, t, derivatives, barrier_value,
-                                        config.max_newton_iters - total)
+                                        MAX_NEWTON_ITERS - total)
         total += steps
         if len(state[4]) / t <= config.kkt_tolerance * state[0]:
             yield x, t, stage, total, state
-        if total >= config.max_newton_iters:
+        if total >= MAX_NEWTON_ITERS:
             raise ConvergenceError(
-                f"{label}newton budget {config.max_newton_iters} exhausted "
+                f"{label}newton budget {MAX_NEWTON_ITERS} exhausted "
                 f"at barrier weight t={t:.3e}{context()}")
         t *= BARRIER_MULTIPLIER
     raise ConvergenceError(

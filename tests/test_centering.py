@@ -10,7 +10,8 @@ import pytest
 from conftest import philox, symmetric_cloud
 from homfit import (ConstraintSet, ConvergenceError, DegenerateInputError,
                     KDescription, SolverConfig, centering, rho_of_center,
-                    solve_min_volume, solve_min_volume_centered, to_constraints)
+                    solve_min_volume, solve_min_volume_centered, solver,
+                    to_constraints)
 from homfit.solver import _whiten
 
 PI = math.pi
@@ -107,18 +108,19 @@ def test_degenerate_cloud_propagates():
         solve_min_volume_centered(cs, 2)
 
 
-def test_solver_failure_is_not_reported_as_degenerate():
+def test_solver_failure_is_not_reported_as_degenerate(monkeypatch):
     pts = philox(21).normal(size=(10, 2)) + np.array([0.7, -0.3])
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 3)
     with pytest.raises(ConvergenceError):
-        solve_min_volume_centered(ConstraintSet(pts), 2,
-                                  SolverConfig(max_newton_iters=3))
+        solve_min_volume_centered(ConstraintSet(pts), 2)
 
 
-def test_joint_budget_message_keeps_prefix():
+def test_joint_budget_message_keeps_prefix(monkeypatch):
     pts = philox(21).normal(size=(10, 2)) + np.array([0.7, -0.3])
     _, _, whitened = _whiten(pts - pts.mean(axis=0), "degenerate")
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 3)
     with pytest.raises(ConvergenceError, match=r"^joint path: newton budget 3"):
-        centering._joint_path(whitened, 2, SolverConfig(max_newton_iters=3))
+        centering._joint_path(whitened, 2, SolverConfig())
 
 
 def test_one_barrier_path():

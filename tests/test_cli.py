@@ -1,6 +1,8 @@
 """End-to-end CLI: inputs, report schema, exit codes, contours."""
 
 import csv
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -13,7 +15,8 @@ import pytest
 
 import homfit
 from conftest import philox, symmetric_cloud
-from homfit import HomogeneousPoly, NotInConeError, integral_exp
+from homfit import (HomogeneousPoly, NotInConeError, SolverConfig,
+                    integral_exp, integrals)
 from homfit.cli import emit_contours, main
 
 PI = math.pi
@@ -92,6 +95,54 @@ def test_flag_range_exit2(disk_csv, tmp_path, capsys, flags, message):
     assert code == 2 and payload is None
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == {"type": "parse", "message": message}
+
+
+@pytest.mark.parametrize("case", ["inequalities_object", "negative_seed",
+                                  "input_directory", "out_missing_directory",
+                                  "out_directory", "points_3d", "box_overflow"])
+def test_malformed_input_exit2(case, disk_csv, tmp_path, capsys, monkeypatch):
+    disk = {"0,0": 1.0, "2,0": -1.0, "0,2": -1.0}
+    box = [[-1.5, 1.5], [-1.5, 1.5]]
+    job, bad = tmp_path / "disk.json", tmp_path / "object.json"
+    job.write_text(json.dumps({"semialgebraic": {"inequalities": [disk], "box": box}}))
+    bad.write_text(json.dumps({"semialgebraic": {"inequalities": disk, "box": box}}))
+    cube, wide = tmp_path / "cube.json", tmp_path / "wide.json"
+    cube.write_text(json.dumps({"points": [[[1, 0]], [[0, 1]], [[-1, 0]]]}))
+    wide.write_text(json.dumps({"semialgebraic": {
+        "inequalities": [disk], "box": [[-1e308, 1e308], [-1.5, 1.5]]}}))
+    args = {
+        "inequalities_object": [bad],
+        "points_3d": [cube],
+        "box_overflow": [wide],
+        "negative_seed": [job, "--seed", "-3"],
+        "input_directory": [tmp_path],
+        "out_missing_directory": [disk_csv, "--out", tmp_path / "missing" / "r.json"],
+        "out_directory": [disk_csv, "--out", tmp_path],
+    }[case]
+    if case.startswith("out_"):
+        # a bad --out fails before the input is even read
+        def unread(path):
+            raise AssertionError("input loaded despite a bad --out")
+        monkeypatch.setattr("homfit.cli.load_description", unread)
+    assert main(list(map(str, args))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "parse" and err["error"]["message"]
+
+
+def test_settings_are_module_constants(disk_csv, tmp_path):
+    assert tuple(f.name for f in dataclasses.fields(SolverConfig)) == \
+        ("kkt_tolerance", "activity_tol")
+    assert not hasattr(homfit, "QuadratureSpec")
+    for name in homfit.__all__:
+        obj = getattr(homfit, name)
+        if inspect.isfunction(obj):
+            params = set(inspect.signature(obj).parameters)
+            assert not params & {"spec", "angular_budget", "ball_tol", "scale"}, name
+    code, payload, _ = run_job(tmp_path, [disk_csv])
+    assert code == 0
+    assert payload["quadrature"]["tolerance"] == integrals.TOLERANCE
 
 
 def test_semialgebraic_disk(tmp_path):

@@ -18,9 +18,9 @@ import pytest
 
 import homfit
 from conftest import philox
-from homfit import (HomogeneousPoly, NotInConeError, QuadratureSpec,
-                    crosscheck_levelset_moment, integral_exp, moment,
-                    moment_vector, volume_sublevel)
+from homfit import (HomogeneousPoly, NotInConeError,
+                    crosscheck_levelset_moment, integral_exp, integrals,
+                    moment, moment_vector, volume_sublevel)
 from homfit.integrals import _angular_integrals, _basis_tables
 from homfit.polynomials import basis_for, compose_linear, monomial_matrix
 from homfit.spheres import grid_size, half_grid_factors, half_sphere_grid
@@ -173,15 +173,6 @@ def test_not_in_cone_rejected():
         integral_exp(bad)
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(angular_points=8)
-    with pytest.raises(ValueError):
-        QuadratureSpec(tolerance=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(angular_points=64, max_points=32)
-
-
 def test_hint_reuse_is_consistent():
     hint = {}
     mv1 = moment_vector(QUARTIC2, hint=hint)
@@ -205,7 +196,7 @@ def test_crosscheck_levelset_moments():
 
 @pytest.mark.parametrize("d", [2, 4, 6])
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_factorised_level_matches_flat_sum(n, d):
+def test_factorised_level_matches_flat_sum(n, d, monkeypatch):
     # reference: the plain sum of w * f over every node of the half grid,
     # f = u^a g(u)^(-(n+|a|)/d); the ladder contracts one axis at a time.
     # Both evaluate g in the monomial basis, which loses kappa * eps,
@@ -221,14 +212,14 @@ def test_factorised_level_matches_flat_sum(n, d):
               (basis_for(n, 2 * d).exponents, 2 * d)]
     for res in (6, 12):
         # a cap at the first level pins the ladder to resolution res
-        spec = QuadratureSpec(angular_points=grid_size(n, res),
-                              max_points=grid_size(n, res))
+        monkeypatch.setattr(integrals, "START_POINTS", grid_size(n, res))
+        monkeypatch.setattr(integrals, "MAX_POINTS", grid_size(n, res))
         points, weights = half_sphere_grid(n, res)
         gv = g(points)
         terms = monomial_matrix(points, basis_for(n, d).exponents) * g.coeff_vector
         assert np.max(np.abs(terms).sum(axis=1) / gv) < 1e4
         for group in (slices, [(single, d)]):
-            totals, info = _angular_integrals(g, group, spec)
+            totals, info = _angular_integrals(g, group)
             assert info["points"] == grid_size(n, res)
             for (exps, k), got in zip(group, totals):
                 f = (gv ** (-(n + k) / d))[:, None] * monomial_matrix(points, exps)
@@ -237,7 +228,7 @@ def test_factorised_level_matches_flat_sum(n, d):
 
 
 @pytest.mark.parametrize("n,d", [(2, 4), (3, 4), (4, 2)])
-def test_level_on_work_arrays_matches_fresh_arrays(n, d):
+def test_level_on_work_arrays_matches_fresh_arrays(n, d, monkeypatch):
     # reference: the same level sums with every array allocated afresh;
     # the operations are the same, so the totals must be identical
     rng = philox(700 + 10 * n + d)
@@ -247,9 +238,9 @@ def test_level_on_work_arrays_matches_fresh_arrays(n, d):
               (basis_for(n, d).exponents, d),
               (basis_for(n, 2 * d).exponents, 2 * d)]
     for res in (16, 32):
-        spec = QuadratureSpec(angular_points=grid_size(n, res),
-                              max_points=grid_size(n, res))
-        totals, _ = _angular_integrals(g, slices, spec)
+        monkeypatch.setattr(integrals, "START_POINTS", grid_size(n, res))
+        monkeypatch.setattr(integrals, "MAX_POINTS", grid_size(n, res))
+        totals, _ = _angular_integrals(g, slices)
         _, tw, _, weights = half_grid_factors(n, res)
         outer, inner = _basis_tables(n, res, d)
         gv = (outer * g.coeff_vector) @ inner.T
@@ -266,13 +257,14 @@ def test_cap_level_memory():
     # the Hessian slice; its tables live on the 3-dimensional grid
     script = (
         "import tracemalloc, numpy as np\n"
-        "from homfit import HomogeneousPoly, QuadratureSpec, moment_vector\n"
+        "from homfit import HomogeneousPoly, integrals, moment_vector\n"
         "from homfit.polynomials import compose_linear\n"
         "rng = np.random.Generator(np.random.Philox(6))\n"
         "M = np.eye(4) + 0.3 * rng.normal(size=(4, 4))\n"
         "g = compose_linear(HomogeneousPoly.sum_of_powers(4, 4), M)\n"
+        "integrals.TOLERANCE = 1e-15\n"
         "tracemalloc.start()\n"
-        "mv = moment_vector(g, QuadratureSpec(tolerance=1e-15), include_2d=True)\n"
+        "mv = moment_vector(g, include_2d=True)\n"
         "print(mv.quadrature_info['points'], tracemalloc.get_traced_memory()[1])\n"
     )
     src = str(Path(homfit.__file__).resolve().parents[1])
@@ -284,16 +276,16 @@ def test_cap_level_memory():
     assert peak < 32 * 2 ** 20
 
 
-def test_warm_ladder_allocates_no_level_arrays():
+def test_warm_ladder_allocates_no_level_arrays(monkeypatch):
     # the level-sized arrays live on one reused buffer; freed and allocated
     # anew on every call they could go back to the OS and fault in again
     M = np.eye(3) + 0.3 * philox(8).normal(size=(3, 3))
     g = compose_linear(HomogeneousPoly.sum_of_powers(3, 4), M)
-    spec = QuadratureSpec(tolerance=1e-15)
-    cold = moment_vector(g, spec, include_2d=True)
+    monkeypatch.setattr(integrals, "TOLERANCE", 1e-15)
+    cold = moment_vector(g, include_2d=True)
     tracemalloc.start()
     try:
-        moment_vector(g, spec, include_2d=True)
+        moment_vector(g, include_2d=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,7 +9,7 @@ from conftest import philox, random_cloud, symmetric_cloud
 from homfit import (ConstraintSet, ConvergenceError, DegenerateInputError,
                     HomogeneousPoly, SolverConfig, build_certificate,
                     initial_guess, integral_exp, kkt_residual, moment_vector,
-                    objective_grad_hess, solve_min_volume)
+                    objective_grad_hess, solve_min_volume, solver)
 
 PI = math.pi
 
@@ -157,18 +157,19 @@ def test_warm_start_and_validation(disk4):
         SolverConfig(kkt_tolerance=0.0)
 
 
-def test_iteration_budget_exhaustion():
+def test_iteration_budget_exhaustion(monkeypatch):
     pts = random_cloud(2, n=2, m=30)
-    cfg = SolverConfig(max_newton_iters=3)
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 3)
     with pytest.raises(ConvergenceError):
-        solve_min_volume(ConstraintSet(pts), 2, config=cfg)
+        solve_min_volume(ConstraintSet(pts), 2)
 
 
-def test_budget_message_names_budget_weight_and_residual():
+def test_budget_message_names_budget_weight_and_residual(monkeypatch):
     cs = ConstraintSet(random_cloud(2, n=2, m=30))
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 3)
     with pytest.raises(ConvergenceError, match=r"newton budget 3 exhausted "
                        r"at barrier weight t=\S+ \(last residual \S+\)$"):
-        solve_min_volume(cs, 2, SolverConfig(max_newton_iters=3))
+        solve_min_volume(cs, 2)
 
 
 def test_barrier_schedule_is_fixed(disk4):
@@ -182,14 +183,15 @@ def test_barrier_schedule_is_fixed(disk4):
 @pytest.mark.parametrize("pts", [random_cloud(3, n=2, m=30),
                                  symmetric_cloud(3, n=2, m=15)],
                          ids=["cloud", "symmetric"])
-def test_budget_cut_reports_state_of_returned_iterate(pts):
+def test_budget_cut_reports_state_of_returned_iterate(pts, monkeypatch):
     # A Newton budget that runs out on an accepted step must not leave the
     # report with the moments of the iterate before that step.
     cs = ConstraintSet(pts)
     returned = 0
     for k in range(64, 80):
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", k)
         try:
-            rep = solve_min_volume(cs, 4, SolverConfig(max_newton_iters=k))
+            rep = solve_min_volume(cs, 4)
         except ConvergenceError:
             continue
         returned += 1
