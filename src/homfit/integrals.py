@@ -15,6 +15,19 @@ MAX_POINTS; both sizes count the full sphere grid, although only half of
 its nodes are evaluated.  Gauss levels are not nested, so the self-check
 compares the accuracy of two rules rather than refining one.
 
+A caller that integrates a sequence of similar integrands (the Newton
+iterates of one barrier path) passes a hint: a dict holding the
+resolution at which the last call converged.  A hinted call climbs from
+half that resolution, so it returns at the hint or above when the
+integrand has not eased.  To follow an integrand that has eased, a call
+first tries the pair one level lower, and returns there, lowering the
+hint, if that pair agrees.  A try that fails costs one coarse level, so
+after each failure the next try waits 1, 2, 4, ... calls, and the wait
+resets after a success; a hint that is already right then costs
+O(log calls) extra levels per sequence.  A call that stops unconverged at
+MAX_POINTS backs off in the same way.  Every returned value still passed
+the self-check, or is reported unconverged.
+
 g has even degree, so for even |a| the integrand is even and is summed on
 half_sphere_grid (one node per antipodal pair) at half the cost; point
 counts still count the full grid.  Odd moments are exactly zero.
@@ -142,10 +155,12 @@ def _angular_integrals(g, slices, hint=None):
     TOLERANCE (each slice scaled by its own largest component) or the next
     level would exceed MAX_POINTS.
 
-    `hint` is an optional mutable dict carrying the resolution that
-    converged last time for a similar integrand; the ladder then starts
-    one level below it instead of at the bottom.  The doubling self-check
-    still runs either way.
+    `hint` is an optional mutable dict, the ladder's memory between calls
+    on similar integrands: "res", the resolution of the last returned
+    level, and the back-off state "wait" and "backoff" of the downward
+    try (module docstring).  A hinted call starts at res / 2, or at res / 4
+    when a try is due, instead of at the bottom; the doubling self-check
+    runs either way.
     """
     n, d = g.n, g.degree
     floor = positivity_floor(g)
@@ -197,14 +212,24 @@ def _angular_integrals(g, slices, hint=None):
 
     base = resolution_for_budget(n, START_POINTS)
     res = base
+    probe = False
     if hint and hint.get("res"):
         res = max(base, int(hint["res"]) // 2)
+        if hint.get("wait", 0):
+            hint["wait"] -= 1
+        elif res // 2 >= base:
+            res //= 2
+            probe = True
     prev = None
     delta = np.inf
     while True:
         totals, count = level(res)
         if prev is not None:
             ok, delta = slicewise_ok(totals, prev)
+            if probe:       # the first pair decides the back-off
+                probe = False
+                hint["backoff"] = 0 if ok else max(1, 2 * hint.get("backoff", 0))
+                hint["wait"] = hint["backoff"]
             if ok:
                 if hint is not None:
                     hint["res"] = res
@@ -262,7 +287,7 @@ def moment_vector(g, include_2d=False, hint=None):
     Computes y0 and the full degree-d slice; with include_2d also the
     degree-2d slice (from which the objective Hessian is assembled by
     exponent addition).  `hint` as in the angular integrator: a mutable
-    dict remembering the converged grid resolution between calls.
+    dict, the ladder's memory between calls on similar integrands.
     """
     n, d = g.n, g.degree
     slices = [(np.zeros((1, n), dtype=np.int64), 0),

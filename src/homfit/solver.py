@@ -27,6 +27,18 @@ BACKTRACK_RATIO until Phi_t drops by ARMIJO_SLOPE times the predicted
 decrease.  Both fits start from initial_guess with FEASIBILITY_MARGIN
 headroom.
 
+The line search gives up, and the stage ends, once the predicted decrease
+alpha * |grad^T p| falls below PHI_ROUNDING * |Phi_t(x)|, or alpha below
+1e-14.  At a feasible x every s_i lies in (0, 1], so Phi_t(x) = t * y0 +
+sum_i |log s_i| is a sum of nonnegative terms, each computed to a few
+ulps: y0 is a positively weighted sum of positive values, and numpy sums
+the logs pairwise.  So Phi_t(x) carries a rounding error of a few ulps of
+|Phi_t(x)|, and PHI_ROUNDING = 1e-15 is about 4.5 ulps.  The true change
+along the step is, to first order, at most alpha * |grad^T p| (exactly
+so where Phi_t is convex), so below that floor the Armijo test compares
+values that differ by less than their rounding, and its verdict is noise;
+smaller alpha only shrinks the change further.
+
 The inner loop stops on the Newton decrement, not the gradient norm: at
 large t the gradient is dominated by roundoff in (1 - g(x_i)) at active
 points, noise that lies in the active span where the Hessian is O(t^2),
@@ -65,6 +77,7 @@ MAX_STAGES = 60
 MAX_NEWTON_ITERS = 400       # damped Newton steps across all stages
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_RATIO = 0.5
+PHI_ROUNDING = 1e-15         # relative rounding of Phi_t (module docstring)
 FEASIBILITY_MARGIN = 0.01    # initial-guess headroom
 
 
@@ -367,8 +380,9 @@ def _newton_stage(x, t, derivatives, barrier_value, budget):
     of _newton_step, so every step is a descent direction.  Stops on the
     scale-aware decrement test (see the module docstring), after six
     steps that fail to halve the decrement, when the line search finds no
-    Armijo point, or after `budget` steps: what is left (>= 1) of the
-    barrier path's Newton budget.
+    Armijo point above Phi_t's rounding (module docstring), or after
+    `budget` steps: what is left (>= 1) of the barrier path's Newton
+    budget.
 
     Returns (x, steps taken, derivatives(x, t) at the returned x).
     """
@@ -393,9 +407,10 @@ def _newton_stage(x, t, derivatives, barrier_value, budget):
                 break
 
         armijo = ARMIJO_SLOPE * (grad @ step)
+        floor = PHI_ROUNDING * abs(phi0)
         alpha = 1.0
         accepted = False
-        while alpha > 1e-14:
+        while alpha > 1e-14 and alpha * dec2 > floor:
             trial = x + alpha * step
             phi = barrier_value(trial, t)
             if np.isfinite(phi) and phi <= phi0 + alpha * armijo:

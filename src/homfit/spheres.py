@@ -42,14 +42,39 @@ def _circle(m):
 
 
 def _gauss(k, r):
-    # Golub-Welsch: r // 2-node Gauss rule of the last axis of S^(k-1),
-    # u = (sqrt(1 - t^2) v, t), for its weight (1 - t^2)^((k-3)/2) on (-1, 1)
+    # r // 2-node Gauss rule of the last axis of S^(k-1),
+    # u = (sqrt(1 - t^2) v, t), for its weight (1 - t^2)^a on (-1, 1),
+    # a = (k - 3) / 2.  The nodes are the roots of the orthonormal p_m,
+    # m = r // 2, where t p_j = b_(j+1) p_(j+1) + b_j p_(j-1).  Newton runs
+    # on the nonnegative ones (the rule is symmetric), all at once, with
+    # (1 - t^2) p_m' = (2m + 2a + 1) b_m p_(m-1) - m t p_m, from the
+    # Gatteschi-Pittaluga guesses cos(phi + (1/4 - a^2) cot(phi) / (2 rho^2)),
+    # phi = (i + a/2 - 1/4) pi / rho, rho = m + a + 1/2.  The weights are the
+    # Christoffel numbers 1 / sum_(j<m) p_j(t)^2.  A dense eigensolver on
+    # the Jacobi matrix costs O(m^3) and, threaded, stalls under CPU
+    # contention.
     m, a = r // 2, (k - 3) / 2.0
-    j = np.arange(1.0, m)
-    off = np.sqrt(j * (j + 2.0 * a) / ((2.0 * j + 2.0 * a) ** 2 - 1.0))
-    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    j = np.arange(1.0, m + 1.0)
+    b = np.sqrt(j * (j + 2.0 * a) / ((2.0 * j + 2.0 * a) ** 2 - 1.0))
     mass = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
-    return nodes, mass * vecs[0] ** 2
+    rho = m + a + 0.5
+    phi = (np.arange((m + 1) // 2, 0, -1.0) + a / 2.0 - 0.25) * math.pi / rho
+    t = np.cos(phi + (0.25 - a * a) / (2.0 * rho * rho * np.tan(phi)))
+    terms = list(zip([0.0, *b[:-1].tolist()], (1.0 / b).tolist()))
+    for _ in range(100):
+        prev, cur = np.zeros_like(t), np.full_like(t, 1.0 / math.sqrt(mass))
+        christoffel = np.zeros_like(t)
+        for back, inv in terms:
+            christoffel += cur * cur
+            prev, cur = cur, (t * cur - back * prev) * inv
+        slope = (2 * m + 2 * a + 1) * b[-1] * prev - m * t * cur
+        step = cur * (1.0 - t * t) / slope
+        t = t - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    w = 1.0 / christoffel
+    odd = m % 2
+    return np.concatenate([-t[odd:][::-1], t]), np.concatenate([w[odd:][::-1], w])
 
 
 def _product(n, r):

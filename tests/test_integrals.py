@@ -182,6 +182,51 @@ def test_hint_reuse_is_consistent():
     assert mv2.y0 == pytest.approx(mv1.y0, rel=1e-12)
 
 
+def test_hint_steps_down_to_what_the_integrand_needs():
+    # a cold ladder on QUARTIC2 returns at 128 points; a hint two levels
+    # above that comes down one level per call, each return self-checked
+    cold = moment_vector(QUARTIC2, include_2d=True)
+    assert cold.quadrature_info["points"] == 128
+    hint = {"res": 512}
+    for expected in (256, 128, 128):
+        mv = moment_vector(QUARTIC2, include_2d=True, hint=hint)
+        assert mv.quadrature_info["points"] == expected
+        assert mv.quadrature_info["converged"]
+        assert hint["res"] == expected
+        assert mv.y0 == pytest.approx(cold.y0, rel=1e-10)
+        assert np.allclose(mv.slice_2d, cold.slice_2d, rtol=0.0,
+                           atol=1e-10 * np.max(np.abs(cold.slice_2d)))
+
+
+@pytest.mark.parametrize("cap,points", [(None, 128), (256, 256)])
+def test_right_hint_costs_few_extra_levels(cap, points, monkeypatch):
+    # with a hint that is already right (cap None: QUARTIC2 at 128 points)
+    # or stuck at the point cap (a peaked integrand that needs 1024 points
+    # under a cap of 256), every downward try fails; backing off after
+    # each failure keeps the extra coarse levels to O(log calls): the
+    # tries fall on calls 1, 3, 6, 11, 20, 37 of 64
+    g = QUARTIC2
+    if cap is not None:
+        monkeypatch.setattr(integrals, "MAX_POINTS", cap)
+        g = compose_linear(QUARTIC2, np.array([[1.0, 0.3], [0.0, 8.0]]))
+    hint = {}
+    moment_vector(g, include_2d=True, hint=hint)
+    assert hint["res"] == points
+    levels = []
+    work_arrays = integrals._work_arrays
+
+    def counted(*args):
+        levels.append(args)
+        return work_arrays(*args)
+
+    monkeypatch.setattr(integrals, "_work_arrays", counted)
+    for _ in range(64):
+        info = moment_vector(g, include_2d=True, hint=hint).quadrature_info
+        assert info["points"] == points
+        assert info["converged"] == (cap is None)
+    assert len(levels) <= 136
+
+
 def test_crosscheck_levelset_moments():
     r = crosscheck_levelset_moment(GAUSS2, (0, 0), mc_budget=200_000, seed=7)
     assert r.agree

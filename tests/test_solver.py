@@ -180,6 +180,29 @@ def test_barrier_schedule_is_fixed(disk4):
         assert rep.t_final == 10.0 ** (rep.stages - 1)
 
 
+def test_line_search_stops_at_phi_rounding():
+    # Phi(x) = 1 + (x - 5.5e-8)^2 / 2 near x = 0: the Newton step predicts
+    # a first-order decrease |grad^T p| = 3e-15, about 14 ulps of Phi, and
+    # every trial reads two ulps above Phi(x), as rounding can make it.
+    # The search gives up once alpha * |grad^T p| is under Phi's rounding
+    # (two trials) instead of halving alpha down to 1e-14 (47 trials).
+    phi0 = 1.0
+    calls = []
+
+    def derivatives(x, t):
+        return 1e-8, phi0, x - 5.5e-8, np.eye(1)
+
+    def barrier_value(x, t):
+        calls.append(x)
+        return phi0 + 2 * np.spacing(phi0)
+
+    x0 = np.zeros(1)
+    x, steps, state = solver._newton_stage(x0, 1.0, derivatives,
+                                           barrier_value, 10)
+    assert np.array_equal(x, x0) and steps == 1
+    assert len(calls) <= 5
+
+
 @pytest.mark.parametrize("pts", [random_cloud(3, n=2, m=30),
                                  symmetric_cloud(3, n=2, m=15)],
                          ids=["cloud", "symmetric"])

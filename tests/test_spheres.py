@@ -9,9 +9,9 @@ import pytest
 from conftest import philox
 from homfit.polynomials import (HomogeneousPoly, basis_for, compose_linear,
                                 monomial_matrix)
-from homfit.spheres import (grid_size, half_grid_factors, half_sphere_grid,
-                            resolution_for_budget, sphere_grid,
-                            sphere_surface_area)
+from homfit.spheres import (_gauss, grid_size, half_grid_factors,
+                            half_sphere_grid, resolution_for_budget,
+                            sphere_grid, sphere_surface_area)
 
 
 def test_surface_areas():
@@ -56,6 +56,21 @@ def test_resolution_for_budget():
             assert r >= 4 and r % 2 == 0
     with pytest.raises(ValueError):
         resolution_for_budget(3, 0)
+
+
+@pytest.mark.parametrize("r", [4, 6, 10, 96, 250, 768])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_gauss_rule_matches_scipy(k, r):
+    # reference: scipy's Gauss-Jacobi rule for (1 - t^2)^((k-3)/2), r // 2
+    # nodes.  Its extreme weights, ~1e-7 of the largest at r = 768, carry
+    # relative errors near 4e-10, so weights are compared to the largest.
+    from scipy.special import roots_jacobi
+    a = (k - 3) / 2.0
+    t, w = _gauss(k, r)
+    ref_t, ref_w = roots_jacobi(r // 2, a, a)
+    assert np.max(np.abs(t - ref_t)) <= 1e-15
+    assert np.max(np.abs(w - ref_w)) <= 1e-11 * np.max(ref_w)
+    assert w.sum() == pytest.approx(ref_w.sum(), rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
