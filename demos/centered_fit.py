@@ -3,9 +3,9 @@
 The origin-centered program P0 is convex; adding a center a gives
 {x : g(x - a) <= 1} and the full problem P.  P is smooth in (g, a)
 together, so one log-barrier Newton path moves both; fixed-center solves
-at the resulting center, the centroid and the origin then certify the
-answer.  For an off-center cloud the gain is dramatic; for a symmetric
-one the origin is already best.
+at the resulting center (resumed where the path ended), the centroid and
+the origin then certify the answer.  For an off-center cloud the gain is
+dramatic; for a symmetric one the origin is already best.
 """
 
 import numpy as np

@@ -15,7 +15,9 @@ optimum with no uniqueness claim.  The answer is then certified by
 ordinary fixed-center solves at the joint center, the centroid and the
 origin; the best of the three wins, so the centered volume never exceeds
 the origin-centered one (up to solver tolerance) and every answer comes
-with the solver's own SolveReport.
+with the solver's own SolveReport.  The solve at the joint center
+resumes where the joint path ended (_resume_point), so it yields at the
+cold solve's t_final with the cold answer; it falls back to a cold one.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ import numpy as np
 
 from .constraints import ConstraintSet
 from .errors import ConvergenceError, DegenerateInputError, NotInConeError
-from .polynomials import (HomogeneousPoly, basis_for, monomial_hessian,
-                          monomial_jacobian)
-from .solver import (SolveReport, SolverConfig, _barrier_path, _whiten,
-                     initial_guess, solve_min_volume)
+from .polynomials import (HomogeneousPoly, basis_for, compose_linear,
+                          monomial_hessian, monomial_jacobian)
+from .solver import (BARRIER_MULTIPLIER, BARRIER_T0, SolveReport,
+                     SolverConfig, _barrier_path, _whiten, initial_guess,
+                     solve_min_volume)
 
 __all__ = ["CenteredSolveReport", "solve_min_volume_centered", "rho_of_center"]
 
@@ -60,32 +63,42 @@ class CenteredSolveReport:
         return self.inner.g_star
 
 
-def _solve_at(cs, a, degree, config):
-    """Fixed-center solve for the points shifted by -a.
+def _solve_at(cs, a, degree, config, resume=None):
+    """Fixed-center solve for the points shifted by -a: resumed from
+    resume = (g, t) if given, then cold if that fails.  A cold
+    ConvergenceError is retried once with activity_tol at the KKT
+    tolerance: near the optimal center, points just inside the boundary
+    count as active and stall the KKT residual.
 
-    Near the optimal center some points sit just inside the boundary
-    without being active; when their slack is below config.activity_tol
-    the multiplier fit counts them as active, and the KKT residual stalls
-    above tolerance.  A solve that raises ConvergenceError is therefore
-    repeated once with the activity threshold at the KKT tolerance.
-
-    Returns (objective, report, solves run); (+inf, error, solves run)
+    Returns (objective, report, solves run), or (+inf, error, solves run)
     when the shifted problem has no solve.
     """
     shifted = ConstraintSet(cs.points - a, provenance=cs.provenance)
-    configs = [config]
+    attempts = [(config, resume)] if resume is not None else []
+    attempts.append((config, None))
     if config.kkt_tolerance < config.activity_tol:
-        configs.append(replace(config, activity_tol=config.kkt_tolerance))
-    for solves, cfg in enumerate(configs, start=1):
+        attempts.append((replace(config, activity_tol=config.kkt_tolerance),
+                         None))
+    for solves, (cfg, start) in enumerate(attempts, start=1):
         try:
-            report = solve_min_volume(shifted, degree, cfg)
-        except ConvergenceError as exc:
+            report = solve_min_volume(shifted, degree, cfg, start)
+            return report.objective, report, solves
+        except (ConvergenceError, DegenerateInputError, NotInConeError) as exc:
             error = exc
-            continue
-        except (DegenerateInputError, NotInConeError) as exc:
-            return np.inf, exc, solves
-        return report.objective, report, solves
+            if start is None and not isinstance(exc, ConvergenceError):
+                break
     return np.inf, error, solves
+
+
+def _resume_point(g_w, t, W, L, z):
+    """Start (g_w(W z), t') of the fixed solve for z = x - a from the joint
+    path's last g_w and t, in its frame W (x - centroid), L = W^-1.  t * y0
+    is frame-invariant, so t' = t |det L_z| / |det L| (L_z L_z^T = z^T z /
+    m), rounded down to BARRIER_T0 * BARRIER_MULTIPLIER^k, one stage lower.
+    """
+    t *= math.sqrt(np.linalg.det(z.T @ z / len(z))) / np.prod(np.diag(L))
+    k = math.floor(math.log(t / BARRIER_T0, BARRIER_MULTIPLIER)) - 1
+    return compose_linear(g_w, W), BARRIER_T0 * BARRIER_MULTIPLIER ** max(k, 0)
 
 
 def rho_of_center(a, cs, degree, config=None):
@@ -102,9 +115,9 @@ def _joint_path(points, degree, config):
     """Log-barrier Newton path in (g, a) for whitened points whose
     centroid is the origin, starting at a = 0.
 
-    Returns (a, Newton steps, stages, center stationarity).  Raises
-    ConvergenceError when the path does not reach the duality-gap bound
-    m/t <= tol * y0 within the solver's budgets.
+    Returns (a, g, t, Newton steps, stages, center stationarity) at the
+    first stage that meets the duality-gap bound m/t <= tol * y0; raises
+    ConvergenceError when none does within the solver's budgets.
     """
     n = points.shape[1]
     basis = basis_for(n, degree)
@@ -137,7 +150,8 @@ def _joint_path(points, degree, config):
     y0, slack, jac = state[0], state[4], state[5]
     lam = 1.0 / (t * slack)
     stationarity = float(np.max(np.abs(jac[:, size:].T @ lam))) / y0
-    return x[size:], steps, stages, stationarity
+    return (x[size:], HomogeneousPoly(n, degree, x[:size]), t, steps, stages,
+            stationarity)
 
 
 def solve_min_volume_centered(cs, degree, config=None):
@@ -145,10 +159,10 @@ def solve_min_volume_centered(cs, degree, config=None):
     points.
 
     Runs the joint (g, a) barrier path in coordinates whitened about the
-    centroid, then fixed-center solves at the joint center, the centroid
-    and the origin; the smallest objective wins.  If the joint path fails
-    (ConvergenceError or NotInConeError) only the centroid and the origin
-    are tried, and meta["fallback"] says why.
+    centroid, then fixed-center solves at the joint center (resumed), the
+    centroid and the origin; the smallest objective wins.  If the joint
+    path fails (ConvergenceError or NotInConeError) only the centroid and
+    the origin are tried, and meta["fallback"] says why.
 
     Raises DegenerateInputError if the points minus their centroid do
     not span R^n (the volume then tends to 0 and no minimizer exists).
@@ -159,26 +173,26 @@ def solve_min_volume_centered(cs, degree, config=None):
     points = cs.points
     n = points.shape[1]
     centroid = points.mean(axis=0)
-    spread = points - centroid
-    L, _, whitened = _whiten(spread, "points minus their centroid lie in a "
-                             "proper subspace; the centered volume can shrink "
-                             "to zero")
+    L, W, whitened = _whiten(points - centroid, "points minus their "
+                             "centroid lie in a proper subspace; the "
+                             "centered volume can shrink to zero")
 
     meta = {"joint_stages": 0, "center_stationarity": None, "fallback": None}
-    candidates = []
-    steps = 0
+    candidates, steps = [], 0
     try:
-        a_w, steps, meta["joint_stages"], meta["center_stationarity"] = \
-            _joint_path(whitened, degree, config)
-        candidates.append(("joint", centroid + L @ a_w))
+        a_w, g_w, t, steps, meta["joint_stages"], \
+            meta["center_stationarity"] = _joint_path(whitened, degree, config)
+        center = centroid + L @ a_w
+        candidates.append(("joint", center, _resume_point(
+            g_w, t, W, L, points - center)))
     except (ConvergenceError, NotInConeError) as exc:
         meta["fallback"] = str(exc)
-    candidates += [("centroid", centroid), ("origin", np.zeros(n))]
+    candidates += [("centroid", centroid, None), ("origin", np.zeros(n), None)]
 
     results = []
     evaluations = 0
-    for name, center in candidates:
-        value, report, solves = _solve_at(cs, center, degree, config)
+    for name, center, resume in candidates:
+        value, report, solves = _solve_at(cs, center, degree, config, resume)
         evaluations += solves
         results.append((value, report, center, name))
     value, report, center, meta["chosen"] = min(results, key=lambda r: r[0])

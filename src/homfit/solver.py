@@ -25,7 +25,7 @@ BARRIER_MULTIPLIER for at most MAX_STAGES stages, which together take at
 most MAX_NEWTON_ITERS Newton steps, and the line search backtracks by
 BACKTRACK_RATIO until Phi_t drops by ARMIJO_SLOPE times the predicted
 decrease.  Both fits start from initial_guess with FEASIBILITY_MARGIN
-headroom.
+headroom; a fixed-center solve may instead resume from a given (g, t).
 
 The line search gives up, and the stage ends, once the predicted decrease
 alpha * |grad^T p| falls below PHI_ROUNDING * |Phi_t(x)|, or alpha below
@@ -39,10 +39,19 @@ so where Phi_t is convex), so below that floor the Armijo test compares
 values that differ by less than their rounding, and its verdict is noise;
 smaller alpha only shrinks the change further.
 
-The inner loop stops on the Newton decrement, not the gradient norm: at
-large t the gradient is dominated by roundoff in (1 - g(x_i)) at active
-points, noise that lies in the active span where the Hessian is O(t^2),
-so it moves g negligibly while keeping the gradient norm large.
+The inner loop stops on the Newton decrement lambda^2 = -grad^T p, not
+the gradient norm: at large t the gradient is dominated by roundoff in
+(1 - g(x_i)) at active points, noise that lies in the active span where
+the Hessian is O(t^2), so it moves g negligibly while keeping the
+gradient norm large.  It stops at lambda^2 / 2 <= 1e-17 * t * y0 where
+the point is read: on the joint (g, a) path, whose curved slacks make
+Phi_t nonconvex, and at the stages that meet the gap bound and the one
+before them.  With linear slacks Phi_t is strictly convex, its central
+point unique, and other stages stop at lambda^2 <= LOOSE_DECREMENT (Boyd
+& Vandenberghe, Convex Optimization, 11.5), so the yielding stage starts
+and ends where it would anyway, up to rounding.  There, steps above
+LOOSE_DECREMENT are Newton's damped phase, where the decrement need not
+halve, so they do not count toward the stall rule.
 
 The iteration runs in whitened coordinates (sample scatter = identity).
 Without this, elongated clouds produce optimal coefficients that cancel
@@ -65,8 +74,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DegenerateInputError, NotInConeError
 from .integrals import MomentVector, integral_exp, moment_vector
-from .polynomials import (HomogeneousPoly, basis_for, check_in_cone,
-                          compose_linear, power_matrix)
+from .polynomials import (HomogeneousPoly, basis_for, compose_linear,
+                          power_matrix)
 
 __all__ = ["SolverConfig", "SolveReport", "initial_guess", "objective_grad_hess",
            "solve_min_volume", "kkt_residual"]
@@ -78,6 +87,7 @@ MAX_NEWTON_ITERS = 400       # damped Newton steps across all stages
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_RATIO = 0.5
 PHI_ROUNDING = 1e-15         # relative rounding of Phi_t (module docstring)
+LOOSE_DECREMENT = 0.5        # stop of stages whose point goes unread
 FEASIBILITY_MARGIN = 0.01    # initial-guess headroom
 
 
@@ -122,8 +132,7 @@ def initial_guess(cs, degree, margin=FEASIBILITY_MARGIN):
     `cs` is a ConstraintSet or an (m, n) array of points."""
     points = np.atleast_2d(getattr(cs, "points", cs))
     base = HomogeneousPoly.sum_of_powers(points.shape[1], degree)
-    vals = base(points)
-    top = float(np.max(vals))
+    top = float(np.max(base(points)))
     if top <= 0.0:
         # all points at the origin; any positive polynomial is feasible
         return base
@@ -137,9 +146,7 @@ def objective_grad_hess(g, hint=None):
     Returns (f, grad, hess, moment_data).
     """
     mv = moment_vector(g, include_2d=True, hint=hint)
-    grad = -mv.slice_d
-    hess = mv.hessian_matrix()
-    return mv.y0, grad, hess, mv
+    return mv.y0, -mv.slice_d, mv.hessian_matrix(), mv
 
 
 def kkt_residual(g, multipliers, cs):
@@ -201,27 +208,17 @@ def _whiten(points, message):
     return L, W, points @ W.T
 
 
-def solve_min_volume(cs, degree, config=None, start=None):
-    """Minimum-volume enclosing sublevel set for a finite point set.
+def solve_min_volume(cs, degree, config=None, resume=None):
+    """Minimum-volume enclosing sublevel set of even degree >= 2 for the
+    points of the ConstraintSet cs; returns a SolveReport.
 
-    Parameters
-    ----------
-    cs : ConstraintSet
-    degree : even int >= 2
-    config : SolverConfig, optional
-    start : HomogeneousPoly, optional
-        Warm start; silently replaced by the default initial guess if it
-        is not strictly feasible for these points.
-
-    Returns
-    -------
-    SolveReport
-
-    Raises
-    ------
-    DegenerateInputError if the points do not span R^n (the problem is
-    then unbounded), ConvergenceError if the tolerance is not reached
-    within the iteration budget.
+    resume = (g, t) runs the barrier path from g (user frame) at weight t
+    (the units of SolveReport.t_final), not from initial_guess at
+    BARRIER_T0; g is scaled by the initial-guess margin only if a slack
+    is <= 0.  Raises DegenerateInputError if the points do not span R^n
+    (the problem is then unbounded), ConvergenceError if the tolerance is
+    not reached within the iteration budget, and NotInConeError if a
+    resumed g is not positive on the sphere.
     """
     config = config or SolverConfig()
     if degree < 2 or degree % 2:
@@ -229,31 +226,20 @@ def solve_min_volume(cs, degree, config=None, start=None):
     raw_points = cs.points
     n = raw_points.shape[1]
 
-    # Whiten: solve in coordinates where the sample scatter is the
-    # identity.  Anisotropic clouds otherwise produce polynomials with
-    # huge cancelling coefficients, which poisons both the angular
-    # quadrature and the achievable KKT residual.  The optimum maps back
-    # exactly: g*(x) = gw(W x), lambda_i = det(L) * lambda_w_i.
     L, W, points = _whiten(raw_points, "constraint points lie in a proper "
                            "subspace; no finite-volume enclosure exists")
     det_L = float(np.prod(np.diag(L)))
-
     V = basis_for(n, degree).monomials(points)
-
-    gvec = None
-    if start is not None:
-        if (start.n, start.degree) != (n, degree):
-            raise ValueError("warm start has wrong dimensions")
-        cand = compose_linear(start, L)          # into whitened frame
-        s = 1.0 - V @ cand.coeff_vector
-        if np.all(s > 1e-12):
-            try:
-                check_in_cone(cand)
-                gvec = cand.coeff_vector.copy()
-            except NotInConeError:
-                gvec = None
-    if gvec is None:
-        gvec = initial_guess(points, degree).coeff_vector.copy()
+    if resume is None:
+        gvec, t0 = initial_guess(points, degree).coeff_vector, BARRIER_T0
+    else:
+        start, t0 = resume
+        if (start.n, start.degree) != (n, degree) or not t0 > 0:
+            raise ValueError("resume needs g of this n and degree, t > 0")
+        gvec = compose_linear(start, L).coeff_vector      # whitened frame
+        top = float(np.max(V @ gvec))
+        if top >= 1.0:
+            gvec = gvec / ((1.0 + FEASIBILITY_MARGIN) * top)
 
     def slacks(vec, jacobian=False):
         s = 1.0 - V @ vec
@@ -261,7 +247,7 @@ def solve_min_volume(cs, degree, config=None, start=None):
 
     res = np.inf
     extra_stages = 0
-    path = _barrier_path(gvec, n, degree, slacks, config,
+    path = _barrier_path(gvec, n, degree, slacks, config, t0,
                          context=lambda: f" (last residual {res:.3e})")
     for gvec, t, stages, total_newton, state in path:
         y0, slack, mv_full = state[0], state[4], state[-1]
@@ -297,11 +283,11 @@ def solve_min_volume(cs, degree, config=None, start=None):
         if extra_stages >= 8:
             raise ConvergenceError(
                 f"KKT residual stalled at {res:.3e} (tolerance "
-                f"{config.kkt_tolerance:.1e}, t={t:.3e})"
-            )
+                f"{config.kkt_tolerance:.1e}, t={t:.3e})")
 
 
-def _barrier_path(x, n, degree, slacks, config, label="", context=lambda: ""):
+def _barrier_path(x, n, degree, slacks, config, t=BARRIER_T0, label="",
+                  context=lambda: ""):
     """Log-barrier path for Phi_t(x) = t * Integral exp(-g) - sum_i log s_i(x),
     g the degree-d form in n variables with coefficients x[:size]; any
     further entries of x are variables only the slacks depend on.
@@ -313,14 +299,24 @@ def _barrier_path(x, n, degree, slacks, config, label="", context=lambda: ""):
     would shrink the step in every direction and stall the stages far
     from the path.
 
-    Runs a Newton stage at each t = BARRIER_T0 * BARRIER_MULTIPLIER^k from
-    the strictly feasible x and, after each stage that meets the gap bound
+    Runs a Newton stage at t, t * BARRIER_MULTIPLIER, ... from the
+    strictly feasible x (loose where C is None and the point goes unread,
+    see the module docstring) and, after each stage that meets the bound
     m/t <= kkt_tolerance * y0, yields (x, t, stages, Newton steps so far,
     state), state being (y0, Phi_t, gradient, Hessian, s, D, moment
     vector) at x.  Raises ConvergenceError, its message `label` + reason +
     context(), when MAX_NEWTON_ITERS or MAX_STAGES runs out.
     """
     size = len(basis_for(n, degree))
+    s0, _, curvature = slacks(x, True)
+
+    def short_of_gap(t, y0):        # the gap bound m/t <= tol * y0 is unmet
+        return len(s0) / t > config.kkt_tolerance * y0
+
+    def unread(t, y0):              # neither this stage nor the next yields
+        return short_of_gap(BARRIER_MULTIPLIER * t, y0)
+
+    loose = unread if curvature is None else None
     hint = {}
     hint_phi = {}     # separate ladder memory: phi needs only the mass slice
 
@@ -353,13 +349,12 @@ def _barrier_path(x, n, degree, slacks, config, label="", context=lambda: ""):
             return np.inf
         return t * y0 - float(np.sum(np.log(s)))
 
-    t = BARRIER_T0
     total = 0
     for stage in range(1, MAX_STAGES + 1):
         x, steps, state = _newton_stage(x, t, derivatives, barrier_value,
-                                        MAX_NEWTON_ITERS - total)
+                                        MAX_NEWTON_ITERS - total, loose)
         total += steps
-        if len(state[4]) / t <= config.kkt_tolerance * state[0]:
+        if not short_of_gap(t, state[0]):
             yield x, t, stage, total, state
         if total >= MAX_NEWTON_ITERS:
             raise ConvergenceError(
@@ -371,37 +366,36 @@ def _barrier_path(x, n, degree, slacks, config, label="", context=lambda: ""):
         f"tolerance{context()}")
 
 
-def _newton_stage(x, t, derivatives, barrier_value, budget):
+def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None):
     """Damped Newton on one barrier function Phi_t, from x.
 
     derivatives(x, t) returns (y0, Phi_t(x), gradient, Hessian, ...) and
     barrier_value(x, t) returns Phi_t(x), or +inf outside the domain.  An
     indefinite Hessian is made positive definite by the escalating ridge
     of _newton_step, so every step is a descent direction.  Stops on the
-    scale-aware decrement test (see the module docstring), after six
-    steps that fail to halve the decrement, when the line search finds no
-    Armijo point above Phi_t's rounding (module docstring), or after
+    scale-aware decrement test, at decrement LOOSE_DECREMENT where
+    loose(t, y0), given on convex paths, holds at the current x (module
+    docstring), after six steps that fail to halve the decrement (a
+    convex path's damped-phase steps excepted), when the line search finds
+    no Armijo point above Phi_t's rounding (module docstring), or after
     `budget` steps: what is left (>= 1) of the barrier path's Newton
     budget.
 
     Returns (x, steps taken, derivatives(x, t) at the returned x).
     """
-    best_dec2 = np.inf
-    stall = 0
-    steps = 0
+    best_dec2, stall, steps = np.inf, 0, 0
     for _ in range(budget):
         state = derivatives(x, t)
         y0, phi0, grad, hess = state[:4]
         step = _newton_step(hess, grad)
         dec2 = float(-grad @ step)
-        if dec2 <= 0.0:
+        if dec2 <= 0.0 or dec2 / 2.0 <= 1e-17 * t * max(y0, 1e-8):
             break
-        if dec2 / 2.0 <= 1e-17 * t * max(y0, 1e-8):
+        if loose and dec2 <= LOOSE_DECREMENT and loose(t, y0):
             break
         if dec2 < 0.5 * best_dec2:
-            best_dec2 = dec2
-            stall = 0
-        else:
+            best_dec2, stall = dec2, 0
+        elif not (loose and dec2 > LOOSE_DECREMENT):
             stall += 1
             if stall >= 6:
                 break

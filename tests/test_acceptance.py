@@ -20,6 +20,7 @@ from homfit import (ConstraintSet, HomogeneousPoly, SolverConfig,
                     mvee_symmetric, solve_min_volume,
                     solve_min_volume_centered, volume_sublevel)
 from homfit.polynomials import check_in_cone
+from homfit.solver import BARRIER_T0
 
 PI = math.pi
 VOL_QUARTIC = 3.708149354602744      # [DERIVED] Gamma(5/4)^2 * Gamma(3/2) / ... see test_integrals
@@ -182,7 +183,8 @@ def test_criterion_06_uniqueness_probe():
         half = rng.normal(size=(10, 2)) @ (rng.normal(size=(2, 2)) + 1.5 * np.eye(2))
         cs = ConstraintSet(np.concatenate([half, -half]))
         rep_a = solve_min_volume(cs, d)
-        rep_b = solve_min_volume(cs, d, start=initial_guess(cs, d, margin=1.0))
+        rep_b = solve_min_volume(
+            cs, d, resume=(initial_guess(cs, d, margin=1.0), BARRIER_T0))
         scale = max(1.0, float(np.max(np.abs(rep_a.g_star.coeff_vector))))
         gap = float(np.max(np.abs(rep_a.g_star.coeff_vector
                                   - rep_b.g_star.coeff_vector))) / scale

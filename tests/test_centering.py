@@ -9,9 +9,9 @@ import pytest
 
 from conftest import philox, symmetric_cloud
 from homfit import (ConstraintSet, ConvergenceError, DegenerateInputError,
-                    KDescription, SolverConfig, centering, rho_of_center,
-                    solve_min_volume, solve_min_volume_centered, solver,
-                    to_constraints)
+                    KDescription, NotInConeError, SolverConfig, centering,
+                    rho_of_center, solve_min_volume, solve_min_volume_centered,
+                    solver, to_constraints)
 from homfit.solver import _whiten
 
 PI = math.pi
@@ -37,6 +37,12 @@ def assert_best_center(rep, cs, degree):
     h = 1e-3 * float(np.max(np.linalg.norm(pts - centroid, axis=1)))
     for step in np.vstack([np.eye(cs.n), -np.eye(cs.n)]):
         assert rho_of_center(rep.center + h * step, cs, degree) >= rho_star * (1.0 - 1e-9)
+
+
+def seeded_cloud(seed):
+    rng = philox(seed)
+    A = rng.normal(size=(2, 2)) + 1.5 * np.eye(2)
+    return rng.normal(size=(12, 2)) @ A + 2.0 * rng.normal(size=2)
 
 
 def test_shifted_square_recovers_center():
@@ -152,10 +158,7 @@ def test_two_points_have_no_centered_fit():
 @pytest.mark.parametrize("degree", [2, 4])
 @pytest.mark.parametrize("seed", [31, 32, 33])
 def test_seeded_family_is_locally_optimal(seed, degree):
-    rng = philox(seed)
-    A = rng.normal(size=(2, 2)) + 1.5 * np.eye(2)
-    pts = rng.normal(size=(12, 2)) @ A + 2.0 * rng.normal(size=2)
-    cs = ConstraintSet(pts)
+    cs = ConstraintSet(seeded_cloud(seed))
     rep = solve_min_volume_centered(cs, degree)
     assert rep.meta["fallback"] is None
     assert rep.meta["center_stationarity"] <= 1e-5
@@ -201,3 +204,56 @@ def test_anisotropic_quartic_keeps_joint_center(seed, volume):
     assert rep.meta["chosen"] == "joint"
     assert rep.volume < 0.3
     assert rep.volume == pytest.approx(volume, rel=1e-5)
+
+
+# the seeded family and the three centered instances of the benchmark
+RESUME_CASES = {
+    **{f"seeded{seed}_d{degree}": (lambda seed=seed: seeded_cloud(seed), degree)
+       for seed in (31, 32, 33) for degree in (2, 4)},
+    "crit8_d2": (lambda: philox(21).normal(size=(10, 2)) + np.array([0.7, -0.3]), 2),
+    "offset12_d4": (lambda: philox(40).normal(size=(12, 2)) + np.array([1.0, 0.5]), 4),
+    "ellipse_d2": (lambda: to_constraints(OFFSET_ELLIPSE, budget=300, seed=0).points, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(RESUME_CASES))
+def test_joint_center_solve_resumes(case, monkeypatch):
+    # the solve at the joint center resumes where the joint path ended:
+    # the cold answer at the cold t_final, in a fraction of the steps
+    make, degree = RESUME_CASES[case]
+    resumed = []
+
+    def record(shifted, deg, config=None, resume=None):
+        report = solve_min_volume(shifted, deg, config, resume)
+        if resume is not None:
+            resumed.append((shifted, resume, report))
+        return report
+
+    monkeypatch.setattr(centering, "solve_min_volume", record)
+    rep = solve_min_volume_centered(ConstraintSet(make()), degree)
+    assert rep.evaluations == 3 and len(resumed) == 1
+    shifted, (_, t0), warm = resumed[0]
+    assert rep.meta["chosen"] != "joint" or rep.inner is warm
+    cold = solve_min_volume(shifted, degree)
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+    schedule = {solver.BARRIER_T0 * solver.BARRIER_MULTIPLIER ** k
+                for k in range(solver.MAX_STAGES)}
+    assert t0 in schedule and warm.t_final in schedule
+    assert warm.t_final == cold.t_final
+    assert warm.iterations <= 25 and 2 * warm.iterations <= cold.iterations
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, NotInConeError])
+def test_resume_failure_falls_back_to_cold(error, monkeypatch):
+    def fail_resumed(shifted, degree, config=None, resume=None):
+        if resume is not None:
+            raise error("resumed solve failed")
+        return solve_min_volume(shifted, degree, config)
+
+    monkeypatch.setattr(centering, "solve_min_volume", fail_resumed)
+    pts = philox(8).normal(size=(12, 2)) + np.array([1.5, -0.5])
+    cs = ConstraintSet(pts)
+    rep = solve_min_volume_centered(cs, 2)
+    assert rep.meta["chosen"] == "joint" and rep.meta["fallback"] is None
+    assert rep.evaluations == 4         # the failed resume counts
+    assert rep.inner.objective == rho_of_center(rep.center, cs, 2)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import philox, random_cloud, symmetric_cloud
+from conftest import philox, quartic_star, random_cloud, symmetric_cloud
 from homfit import (ConstraintSet, ConvergenceError, DegenerateInputError,
                     HomogeneousPoly, SolverConfig, build_certificate,
                     initial_guess, integral_exp, kkt_residual, moment_vector,
@@ -147,10 +147,17 @@ def test_converse_sufficiency(disk4):
 
 def test_warm_start_and_validation(disk4):
     rep = solve_min_volume(disk4, 2)
-    again = solve_min_volume(disk4, 2, start=rep.g_star)
-    assert again.objective == pytest.approx(rep.objective, rel=1e-9)
+    t0 = rep.t_final / 100.0
+    # from the optimum, and from twice it, which leaves every point
+    # outside until the start is scaled back by the initial-guess margin
+    for g in (rep.g_star, rep.g_star * 2.0):
+        again = solve_min_volume(disk4, 2, resume=(g, t0))
+        assert again.objective == pytest.approx(rep.objective, rel=1e-12)
+        assert again.t_final == rep.t_final
     with pytest.raises(ValueError):
-        solve_min_volume(disk4, 2, start=HomogeneousPoly(2, 4, {(4, 0): 1.0}))
+        solve_min_volume(disk4, 2, resume=(HomogeneousPoly(2, 4, {(4, 0): 1.0}), t0))
+    with pytest.raises(ValueError):
+        solve_min_volume(disk4, 2, resume=(rep.g_star, 0.0))
     with pytest.raises(ValueError):
         solve_min_volume(disk4, 3)
     with pytest.raises(ValueError):
@@ -173,11 +180,42 @@ def test_budget_message_names_budget_weight_and_residual(monkeypatch):
 
 
 def test_barrier_schedule_is_fixed(disk4):
-    # t starts at 1 and grows tenfold per stage
+    # t starts at 1 and grows tenfold per stage; a resumed solve starts
+    # at its own t and grows it the same way
     cloud = ConstraintSet(symmetric_cloud(3, n=2, m=10))
     for cs, degree in ((disk4, 2), (cloud, 4)):
         rep = solve_min_volume(cs, degree)
         assert rep.t_final == 10.0 ** (rep.stages - 1)
+        t0 = rep.t_final / 100.0
+        warm = solve_min_volume(cs, degree, resume=(rep.g_star, t0))
+        assert warm.t_final == t0 * 10.0 ** (warm.stages - 1) == rep.t_final
+
+
+@pytest.mark.parametrize("pts,degree", [(quartic_star()[1], 4),
+                                        (symmetric_cloud(2, n=2, m=100), 2),
+                                        (symmetric_cloud(3, n=3, m=30), 4)],
+                         ids=["star_d4", "cloud_n2_d2", "cloud_n3_d4"])
+def test_loose_stages_keep_the_answer(pts, degree, monkeypatch):
+    # stages whose point goes unread stop at LOOSE_DECREMENT; the answer is
+    # that of centering every stage to rounding (the constant at 0)
+    steps = []
+    stage = solver._newton_stage
+
+    def counted(*args):
+        x, taken, state = stage(*args)
+        steps.append(taken)
+        return x, taken, state
+
+    monkeypatch.setattr(solver, "_newton_stage", counted)
+    cs = ConstraintSet(pts)
+    runs = []
+    for loose in (solver.LOOSE_DECREMENT, 0.0):
+        monkeypatch.setattr(solver, "LOOSE_DECREMENT", loose)
+        steps.clear()
+        runs.append((solve_min_volume(cs, degree).volume, sum(steps)))
+    (volume, taken), (tight_volume, tight_taken) = runs
+    assert volume == pytest.approx(tight_volume, rel=1e-12)
+    assert taken <= 0.8 * tight_taken
 
 
 def test_line_search_stops_at_phi_rounding():
