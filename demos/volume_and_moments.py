@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from homfit import HomogeneousPoly, integral_exp, mc_volume, moment, volume_sublevel
+from homfit import HomogeneousPoly, integral_exp, moment, volume_sublevel
+from homfit.verify import mc_volume
 
 circle = HomogeneousPoly(2, 2, {(2, 0): 1.0, (0, 2): 1.0})
 quartic = HomogeneousPoly(2, 4, {(4, 0): 1.0, (0, 4): 1.0})

@@ -11,7 +11,8 @@ g*(x_j) = 1).  A certificate packages the atoms and the numeric residuals
 of these identities so a third party can re-verify them with nothing but
 polynomial evaluations and one quadrature.  The atoms carry the solver's
 own multipliers, with no refit; the residuals are measured from them in
-the user's frame.
+the user's frame.  Checks that need no solver, such as the moment-matrix
+form of this identity, live in homfit.verify.
 
 Atom count can always be reduced to the dimension of the degree-d slice,
 C(n+d-1, d): atoms are points in that slice's moment space, so any excess
@@ -22,21 +23,14 @@ atoms take O(C(n+d-1, d) * log N) pivots instead of N.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CertificateError, ReductionError
-from .integrals import _hessian_alias, moment_vector
-from .polynomials import HomogeneousPoly, basis_for
-from .solver import solve_min_volume
+from .polynomials import basis_for
 
-__all__ = ["KktCertificate", "build_certificate", "caratheodory_reduce",
-           "contact_moment_matrix", "gaussian_moment_matrix",
-           "dball_contact_check", "DballReport"]
-
-BALL_TOL = 1e-3     # dball_contact_check: largest coefficient gap from the d-ball
+__all__ = ["KktCertificate", "build_certificate", "caratheodory_reduce"]
 
 
 @dataclass
@@ -222,78 +216,3 @@ def _pivot(columns, weights, bound):
             raise ReductionError("pivot failed to remove an atom")
         live = survivors + live[bound + 1:]
     return weights
-
-
-def contact_moment_matrix(points, weights, n, half_degree):
-    """sum_j lambda_j v(x_j) v(x_j)^T over the degree-(d/2) monomial map."""
-    basis = basis_for(n, half_degree)
-    Vh = basis.monomials(points)               # (k, lh)
-    return Vh.T @ (np.asarray(weights)[:, None] * Vh)
-
-
-def gaussian_moment_matrix(g):
-    """Integral v(x) v(x)^T exp(-g) dx over the degree-(d/2) monomial map.
-
-    Entries are degree-d moments of exp(-g), read off by exponent
-    addition; at the optimum this matrix equals contact_moment_matrix of
-    the certificate atoms.
-    """
-    n, d = g.n, g.degree
-    if d % 2:
-        raise ValueError("degree must be even")
-    return moment_vector(g).slice_d[_hessian_alias(n, d // 2)]
-
-
-def axis_moment_1d(k, d):
-    """Closed form Integral_R t^k exp(-t^d) dt: zero for odd k,
-    2*Gamma((k+1)/d)/d for even k."""
-    if k % 2:
-        return 0.0
-    return 2.0 * math.gamma((k + 1) / d) / d
-
-
-@dataclass
-class DballReport:
-    """Certificate check for point sets whose optimal enclosure is the
-    unit d-ball {sum x_i^d <= 1}.  residuals[k] belongs to the k-th
-    member of basis_for(n, d)."""
-
-    g_deviation: float
-    even_residual: float
-    odd_residual: float
-    residuals: np.ndarray
-    certificate: KktCertificate
-
-
-def dball_contact_check(cs, degree):
-    """Solve for the given points and verify the separable-moment identity.
-
-    Requires the optimum to be the d-ball sum x_i^d, to BALL_TOL in every
-    coefficient; then for every |a| = d the certificate atoms must satisfy
-
-        sum_j lambda_j x_j^a = prod_i Integral_R t^{a_i} exp(-t^d) dt,
-
-    which vanishes whenever any a_i is odd.  Returns the per-index
-    residuals and their worst value over the even and the odd indices.
-    """
-    report = solve_min_volume(cs, degree)
-    g = report.g_star
-    n = g.n
-    ball = HomogeneousPoly.sum_of_powers(n, degree)
-    dev = float(np.max(np.abs(g.coeff_vector - ball.coeff_vector)))
-    if dev > BALL_TOL:
-        raise CertificateError(
-            f"optimal polynomial deviates from the d-ball by {dev:.3e}; "
-            f"the separable identity does not apply"
-        )
-    cert = build_certificate(report, cs, reduce_atoms=False)
-    pts, w = cert.contact_points, cert.weights
-    basis = basis_for(n, degree)
-    axis = np.array([axis_moment_1d(k, degree) for k in range(degree + 1)])
-    expected = np.prod(axis[basis.exponents], axis=1)
-    residuals = np.abs(basis.monomials(pts).T @ w - expected)
-    odd = np.any(basis.exponents % 2 == 1, axis=1)
-    return DballReport(g_deviation=dev,
-                       even_residual=float(residuals[~odd].max(initial=0.0)),
-                       odd_residual=float(residuals[odd].max(initial=0.0)),
-                       residuals=residuals, certificate=cert)

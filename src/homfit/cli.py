@@ -33,7 +33,7 @@ from .constraints import ConstraintSet, KDescription, inclusion_check, to_constr
 from .errors import (CertificateError, ConvergenceError, DegenerateInputError,
                      EmptySetError, InfeasibleError, NotInConeError)
 from .oracle import mvee_symmetric
-from .polynomials import positivity_floor
+from .polynomials import _format_key, positivity_floor
 from .solver import SolverConfig, solve_min_volume
 
 __all__ = ["build_parser", "load_description", "run", "main", "emit_contours"]
@@ -203,8 +203,8 @@ def _report_payload(cs, mode, degree, report, center, cert, audit):
         "n": g.n,
         "num_constraint_points": len(cs),
         "provenance": cs.provenance,
-        "basis": [ix.as_key() for ix in g.basis],
-        "coefficients": {ix.as_key(): float(c)
+        "basis": [_format_key(ix) for ix in g.basis],
+        "coefficients": {_format_key(ix): float(c)
                          for ix, c in zip(g.basis, g.coeff_vector)},
         "center": [float(v) for v in center],
         "objective": report.objective,

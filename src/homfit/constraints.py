@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptySetError
-from .polynomials import MultiIndex, monomial_jacobian, monomial_matrix
+from .polynomials import _parse_key, monomial_jacobian, monomial_matrix
 
 __all__ = ["KDescription", "ConstraintSet", "to_constraints", "inclusion_check",
            "InclusionAudit"]
@@ -32,10 +32,10 @@ class _PolyIneq:
         exps = []
         coeffs = []
         for key, value in coeff_map.items():
-            alpha = MultiIndex.from_key(key) if isinstance(key, str) else MultiIndex(key)
+            alpha = _parse_key(key)
             if len(alpha) != n:
-                raise ValueError(f"inequality key {tuple(alpha)} has wrong dimension")
-            exps.append(tuple(alpha))
+                raise ValueError(f"inequality key {alpha} has wrong dimension")
+            exps.append(alpha)
             coeffs.append(float(value))
         if not exps:
             raise ValueError("inequality with no terms")

@@ -43,8 +43,8 @@ elsewhere:
 
 * Euler:  sum_a g_a I_a = (n/d) I_0  (integrate g*exp(-g) by parts).
 * Level set:  I_a = Gamma(1 + (n+|a|)/d) * Integral_{G_1} x^a dx where
-  G_1 = {g <= 1}, which crosscheck_levelset_moment verifies against a
-  Monte-Carlo estimate of the right side.
+  G_1 = {g <= 1}; homfit.verify checks it against a Monte-Carlo
+  estimate of the right side.
 """
 
 from __future__ import annotations
@@ -53,12 +53,11 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotInConeError
-from .polynomials import (MultiIndex, basis_for, monomial_matrix,
+from .polynomials import (_parse_key, basis_for, monomial_matrix,
                           positivity_floor)
 from .spheres import grid_size, half_grid_factors, resolution_for_budget
 
@@ -68,8 +67,6 @@ __all__ = [
     "volume_sublevel",
     "moment",
     "moment_vector",
-    "crosscheck_levelset_moment",
-    "CrosscheckResult",
 ]
 
 # The ladder's settings, read at call time.
@@ -271,14 +268,14 @@ def volume_sublevel(g, y):
 
 def moment(g, alpha):
     """Single moment Integral x^alpha exp(-g) dx for any multi-index."""
-    alpha = MultiIndex(alpha)
+    alpha = _parse_key(alpha)
     if len(alpha) != g.n:
         raise ValueError("multi-index dimension mismatch")
-    if alpha.degree % 2:
+    k = sum(alpha)
+    if k % 2:
         return 0.0      # odd integrand on a symmetric domain
-    exps = np.array([tuple(alpha)], dtype=np.int64)
-    totals, _ = _angular_integrals(g, [(exps, alpha.degree)])
-    return _radial_factor(g.n, g.degree, alpha.degree) * float(totals[0][0])
+    totals, _ = _angular_integrals(g, [(np.array([alpha], dtype=np.int64), k)])
+    return _radial_factor(g.n, g.degree, k) * float(totals[0][0])
 
 
 def moment_vector(g, include_2d=False, hint=None):
@@ -301,46 +298,3 @@ def moment_vector(g, include_2d=False, hint=None):
     return MomentVector(n=n, degree=d, y0=y0,
                         slice_d=_radial_factor(n, d, d) * totals[1],
                         slice_2d=slice_2d, quadrature_info=info)
-
-
-class CrosscheckResult(NamedTuple):
-    lhs: float
-    rhs: float
-    agree: bool
-    std_error: float
-
-
-def crosscheck_levelset_moment(g, alpha, mc_budget=200_000, seed=0):
-    """Check I_alpha = Gamma(1 + (n+|a|)/d) * Integral_{g<=1} x^a dx.
-
-    The left side comes from the angular quadrature, the right from a
-    Monte-Carlo estimate over the bounding box of {g <= 1}; 'agree' means
-    the two differ by at most four Monte-Carlo standard errors.
-    """
-    alpha = MultiIndex(alpha)
-    n, d = g.n, g.degree
-    lhs = moment(g, alpha)
-
-    from .polynomials import check_in_cone
-    smin = check_in_cone(g)
-    radius = (1.0 / smin) ** (1.0 / d)   # {g <= 1} fits in this box
-    rng = np.random.Generator(np.random.Philox(seed))
-    total = 0.0
-    total_sq = 0.0
-    box_vol = (2.0 * radius) ** n
-    remaining = int(mc_budget)
-    while remaining > 0:
-        batch = min(remaining, 1 << 16)
-        pts = rng.uniform(-radius, radius, size=(batch, n))
-        inside = g(pts) <= 1.0
-        vals = np.where(inside, monomial_matrix(pts, np.array([tuple(alpha)]))[:, 0], 0.0)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        remaining -= batch
-    mean = total / mc_budget
-    var = max(total_sq / mc_budget - mean * mean, 0.0)
-    factor = math.gamma(1.0 + (n + alpha.degree) / d)
-    rhs = factor * box_vol * mean
-    std_error = factor * box_vol * math.sqrt(var / mc_budget)
-    agree = abs(lhs - rhs) <= 4.0 * max(std_error, 1e-300)
-    return CrosscheckResult(lhs=lhs, rhs=rhs, agree=bool(agree), std_error=std_error)

@@ -1,21 +1,20 @@
-"""Independent references: symmetric minimum-volume ellipsoid (log-det
-barrier Newton with a certified duality gap) and Monte-Carlo volume.
+"""Independent reference: the symmetric minimum-volume ellipsoid, by
+log-det barrier Newton with a certified duality gap.
 
-These never touch the polynomial solver or its quadrature; they exist so
-its d = 2 answers and volumes can be checked against another algorithm.
+It never touches the polynomial solver or its quadrature; it exists so
+the solver's d = 2 answers can be checked against another algorithm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateInputError
 
-__all__ = ["EllipsoidOracleResult", "mvee_symmetric", "mc_volume", "McVolume"]
+__all__ = ["EllipsoidOracleResult", "mvee_symmetric"]
 
 
 @dataclass
@@ -132,42 +131,3 @@ def mvee_symmetric(points, tol=1e-9, max_iters=500):
     return EllipsoidOracleResult(Q=Q, volume=volume,
                                  support_points=pts[on_boundary].copy(),
                                  iterations=steps, gap=float(gap))
-
-
-class McVolume(NamedTuple):
-    estimate: float
-    std_error: float
-
-
-def mc_volume(g, center=None, y=1.0, budget=1_000_000, seed=0):
-    """Monte-Carlo volume of {x : g(x - center) <= y}.
-
-    Rejection sampling in the bounding box implied by the sphere minimum
-    of g; the standard error is the binomial one for the acceptance
-    fraction.  Uses a counter-based generator so a (budget, seed) pair
-    always reproduces.
-    """
-    from .polynomials import check_in_cone
-
-    if y < 0:
-        raise ValueError("level y must be nonnegative")
-    smin = check_in_cone(g)
-    if y == 0.0:
-        # the level set {g <= 0} of an in-cone g has measure zero
-        return McVolume(estimate=0.0, std_error=0.0)
-    n, d = g.n, g.degree
-    radius = (y / smin) ** (1.0 / d)
-    center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-    rng = np.random.Generator(np.random.Philox(int(seed)))
-    hits = 0
-    remaining = int(budget)
-    while remaining > 0:
-        batch = min(remaining, 1 << 16)
-        pts = center + rng.uniform(-radius, radius, size=(batch, n))
-        hits += int(np.count_nonzero(g(pts - center) <= y))
-        remaining -= batch
-    box_vol = (2.0 * radius) ** n
-    p = hits / budget
-    estimate = box_vol * p
-    std_error = box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / budget)
-    return McVolume(estimate=estimate, std_error=std_error)

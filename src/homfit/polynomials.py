@@ -1,5 +1,8 @@
 """Multi-indices, monomial bases, and homogeneous polynomials.
 
+A multi-index is a plain tuple of nonnegative ints; its string form
+'2,0,1' keys JSON input and output.
+
 A homogeneous polynomial of even degree d in n variables is stored as a
 dense coefficient vector over the monomial basis {x^a : |a| = d}.  The
 basis is ordered graded-lexicographically: by total degree first, then
@@ -17,11 +20,9 @@ import numpy as np
 from .errors import NotInConeError
 
 __all__ = [
-    "MultiIndex",
     "BasisEnumeration",
     "HomogeneousPoly",
     "basis_for",
-    "enumerate_basis",
     "monomial_matrix",
     "monomial_jacobian",
     "monomial_hessian",
@@ -31,40 +32,20 @@ __all__ = [
 ]
 
 
-class MultiIndex(tuple):
-    """Exponent vector of a monomial.
+def _parse_key(key):
+    """Exponent tuple of a multi-index given as a sequence of exponents or
+    as its string form '2,0,1'; ValueError unless every entry is a
+    nonnegative integer."""
+    parts = key.split(",") if isinstance(key, str) else tuple(key)
+    exps = tuple(int(e) for e in parts)     # int("2.5") raises, int(2.5) truncates
+    if not exps or min(exps) < 0 or not (isinstance(key, str) or exps == parts):
+        raise ValueError(f"multi-index {key!r} needs nonnegative integer exponents")
+    return exps
 
-    Behaves as a tuple of nonnegative ints (hashable, comparable with
-    plain tuples as dict keys) plus a degree and a stable string form
-    used in JSON output.
-    """
 
-    def __new__(cls, exponents):
-        exps = tuple(int(e) for e in exponents)
-        if not exps:
-            raise ValueError("multi-index needs at least one entry")
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps!r}")
-        return super().__new__(cls, exps)
-
-    @property
-    def degree(self):
-        return sum(self)
-
-    @property
-    def n(self):
-        return len(self)
-
-    def as_key(self):
-        """Stable string form, e.g. '2,0,1'."""
-        return ",".join(str(e) for e in self)
-
-    @classmethod
-    def from_key(cls, key):
-        return cls(int(part) for part in key.split(","))
-
-    def __repr__(self):
-        return f"MultiIndex({tuple(self)!r})"
+def _format_key(alpha):
+    """String form of a multi-index, e.g. '2,0,1' (JSON keys)."""
+    return ",".join(str(e) for e in alpha)
 
 
 def _compositions(total, nvars):
@@ -83,7 +64,7 @@ class BasisEnumeration:
 
     The slice {|a| = degree} has C(n + degree - 1, degree) members.  Any
     degree >= 0 is allowed here; the evenness restriction on polynomial
-    degrees is enforced by HomogeneousPoly and enumerate_basis.
+    degrees is enforced by HomogeneousPoly.
     """
 
     def __init__(self, n, degree):
@@ -95,7 +76,7 @@ class BasisEnumeration:
             raise ValueError(f"degree must be nonnegative, got {degree}")
         self.n = n
         self.degree = degree
-        self.indices = tuple(MultiIndex(ix) for ix in _compositions(degree, n))
+        self.indices = tuple(_compositions(degree, n))
         assert len(self.indices) == math.comb(n + degree - 1, degree)
         self._position = {ix: k for k, ix in enumerate(self.indices)}
         self.exponents = np.array(self.indices, dtype=np.int64).reshape(len(self.indices), n)
@@ -112,11 +93,11 @@ class BasisEnumeration:
 
     def index_of(self, alpha):
         """Position of a multi-index in the basis order."""
-        key = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
+        key = _parse_key(alpha)
         try:
             return self._position[key]
         except KeyError:
-            raise KeyError(f"{tuple(key)} is not in the degree-{self.degree} slice") from None
+            raise KeyError(f"{key} is not in the degree-{self.degree} slice") from None
 
     def monomials(self, x):
         """Evaluate every basis monomial at the given points.
@@ -142,16 +123,6 @@ class BasisEnumeration:
 def basis_for(n, degree):
     """Cached basis enumeration (any degree >= 0)."""
     return BasisEnumeration(n, degree)
-
-
-def enumerate_basis(n, degree):
-    """Monomial basis of the even-degree-d slice, graded-lex order.
-
-    Raises ValueError for odd degree or n < 1.
-    """
-    if degree < 2 or degree % 2:
-        raise ValueError(f"degree must be even and >= 2, got {degree}")
-    return basis_for(n, degree)
 
 
 def monomial_matrix(x, exponents):
@@ -233,8 +204,9 @@ class HomogeneousPoly:
         Even total degree, >= 2.
     coeffs : array-like of length C(n+d-1, d), or mapping
         Dense coefficient vector aligned with the graded-lex basis, or a
-        map from multi-indices (tuples, MultiIndex, or 'a1,a2' strings)
-        to coefficients.  Map keys of the wrong degree raise ValueError.
+        map from multi-indices (tuples or 'a1,a2' strings) to
+        coefficients.  Map keys of the wrong degree, or with exponents
+        that are not nonnegative integers, raise ValueError.
     """
 
     def __init__(self, n, degree, coeffs):
@@ -246,10 +218,10 @@ class HomogeneousPoly:
         if isinstance(coeffs, dict):
             vec = np.zeros(len(self.basis))
             for key, value in coeffs.items():
-                alpha = MultiIndex.from_key(key) if isinstance(key, str) else MultiIndex(key)
-                if alpha.degree != self.degree or len(alpha) != self.n:
+                alpha = _parse_key(key)
+                if sum(alpha) != self.degree or len(alpha) != self.n:
                     raise ValueError(
-                        f"coefficient key {tuple(alpha)} does not lie in the "
+                        f"coefficient key {alpha} does not lie in the "
                         f"degree-{self.degree} slice in {self.n} variables"
                     )
                 vec[self.basis.index_of(alpha)] = float(value)

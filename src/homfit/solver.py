@@ -15,7 +15,10 @@ by damped Newton steps (Cholesky with escalating ridge, Armijo
 backtracking that rejects steps leaving the positivity cone), then grow
 t by a fixed factor until the duality-gap bound m/t is below tolerance.
 Barrier multipliers 1/(t*(1-g(x_i))) are then polished by a least-squares
-fit of the active monomial columns to the degree-d moment vector.
+fit of the active monomial columns to the degree-d moment vector.  While
+that polished KKT residual is above tolerance the path goes on, but only
+as long as each stage at least halves it; a stage that does not ends the
+solve with a "stalled" ConvergenceError.
 
 The barrier path (_barrier_path) and the whitening (_whiten) are shared
 with the centered fit, whose slacks 1 - g(x_i - a) also depend on a
@@ -246,14 +249,13 @@ def solve_min_volume(cs, degree, config=None, resume=None):
         return (s, V, None) if jacobian else s
 
     res = np.inf
-    extra_stages = 0
     path = _barrier_path(gvec, n, degree, slacks, config, t0,
                          context=lambda: f" (last residual {res:.3e})")
     for gvec, t, stages, total_newton, state in path:
         y0, slack, mv_full = state[0], state[4], state[-1]
         yd = mv_full.slice_d
         lam = _polish_multipliers(V, slack, yd, config.activity_tol)
-        res = _residual_from_parts(V, lam, yd, slack, y0)
+        res, last = _residual_from_parts(V, lam, yd, slack, y0), res
         if res <= config.kkt_tolerance:
             info = mv_full.quadrature_info
             if not info["converged"]:
@@ -277,10 +279,9 @@ def solve_min_volume(cs, degree, config=None, resume=None):
                 moment_data=MomentVector(n, degree, objective, yd_user,
                                          quadrature_info=info),
             )
-        # gap bound met but the polished residual is not: push the
-        # path a little further before giving up
-        extra_stages += 1
-        if extra_stages >= 8:
+        # gap bound met but the polished residual is not: push the path
+        # on while each stage at least halves the residual
+        if res > 0.5 * last:
             raise ConvergenceError(
                 f"KKT residual stalled at {res:.3e} (tolerance "
                 f"{config.kkt_tolerance:.1e}, t={t:.3e})")

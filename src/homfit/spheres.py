@@ -26,12 +26,7 @@ from functools import lru_cache
 import math
 import numpy as np
 
-__all__ = ["half_sphere_grid", "sphere_grid", "sphere_surface_area"]
-
-
-def sphere_surface_area(n):
-    """Surface measure of the unit sphere in R^n (2, 2*pi, 4*pi, 2*pi^2, ...)."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+__all__ = ["half_sphere_grid", "sphere_grid"]
 
 
 def _circle(m):

@@ -12,15 +12,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import philox, quartic_star, symmetric_cloud
+from conftest import (dball_contact_check, philox, quartic_star,
+                      symmetric_cloud)
 from homfit import (ConstraintSet, HomogeneousPoly, SolverConfig,
-                    basis_for, build_certificate,
-                    crosscheck_levelset_moment, dball_contact_check,
-                    initial_guess, integral_exp, mc_volume, moment_vector,
-                    mvee_symmetric, solve_min_volume,
-                    solve_min_volume_centered, volume_sublevel)
+                    basis_for, build_certificate, initial_guess,
+                    integral_exp, moment_vector, mvee_symmetric,
+                    solve_min_volume, solve_min_volume_centered,
+                    volume_sublevel)
 from homfit.polynomials import check_in_cone
 from homfit.solver import BARRIER_T0
+from homfit.verify import crosscheck_levelset_moment, mc_volume
 
 PI = math.pi
 VOL_QUARTIC = 3.708149354602744      # [DERIVED] Gamma(5/4)^2 * Gamma(3/2) / ... see test_integrals

@@ -6,14 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SQ2, quartic_star
+from conftest import SQ2, axis_moment_1d, dball_contact_check, quartic_star
 from homfit import (CertificateError, ConstraintSet, HomogeneousPoly,
                     ReductionError, SolveReport, basis_for, build_certificate,
-                    caratheodory_reduce, contact_moment_matrix,
-                    dball_contact_check, gaussian_moment_matrix,
-                    solve_min_volume)
-from homfit.certificate import axis_moment_1d
+                    caratheodory_reduce, solve_min_volume)
 from homfit.integrals import moment_vector
+from homfit.verify import contact_moment_matrix, gaussian_moment_matrix
 
 PI = math.pi
 INT_T2_EXP_T4 = 0.6127083512325889   # [DERIVED] see test_integrals

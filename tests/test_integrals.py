@@ -18,12 +18,12 @@ import pytest
 
 import homfit
 from conftest import philox
-from homfit import (HomogeneousPoly, NotInConeError,
-                    crosscheck_levelset_moment, integral_exp, integrals,
+from homfit import (HomogeneousPoly, NotInConeError, integral_exp, integrals,
                     moment, moment_vector, volume_sublevel)
 from homfit.integrals import _angular_integrals, _basis_tables
 from homfit.polynomials import basis_for, compose_linear, monomial_matrix
 from homfit.spheres import grid_size, half_grid_factors, half_sphere_grid
+from homfit.verify import crosscheck_levelset_moment
 
 # scipy.integrate.quad oracles, frozen (see module docstring)
 INT_EXP_T4 = 1.8128049541109543        # Integral_R exp(-t^4) dt

@@ -1,6 +1,5 @@
-"""Reference oracles: symmetric MVEE and Monte-Carlo volume."""
+"""Reference oracles: symmetric MVEE and Monte-Carlo volume (homfit.verify)."""
 
-import ast
 import math
 from pathlib import Path
 
@@ -9,11 +8,12 @@ import pytest
 from scipy.optimize import nnls
 
 import homfit.oracle
-from conftest import philox, symmetric_cloud
+from conftest import imported_names, philox, symmetric_cloud
 from homfit import (ConstraintSet, ConvergenceError, DegenerateInputError,
-                    HomogeneousPoly, NotInConeError, mc_volume, mvee_symmetric,
+                    HomogeneousPoly, NotInConeError, mvee_symmetric,
                     solve_min_volume)
 from homfit.cli import _q_matrix_from_coeffs
+from homfit.verify import mc_volume
 
 VOL_QUARTIC = 3.708149354602744  # [DERIVED] 1-D quadrature, see test_integrals
 
@@ -104,14 +104,7 @@ def test_mvee_step_budget_reports_gap():
 
 
 def test_oracle_imports_neither_solver_nor_quadrature():
-    tree = ast.parse(Path(homfit.oracle.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.add((node.module or "").split(".")[-1])
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    imported = imported_names(Path(homfit.oracle.__file__))
     assert not imported & {"solver", "integrals", "spheres"}
 
 

@@ -6,45 +6,64 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import philox
-from homfit import (HomogeneousPoly, MultiIndex, NotInConeError, compose_linear,
-                    enumerate_basis, min_on_sphere)
-from homfit.polynomials import (basis_for, check_in_cone, monomial_hessian,
+from homfit import (HomogeneousPoly, KDescription, NotInConeError,
+                    compose_linear, min_on_sphere, moment)
+from homfit.polynomials import (_format_key, _parse_key, basis_for,
+                                check_in_cone, monomial_hessian,
                                 monomial_jacobian, monomial_matrix,
                                 positivity_floor, power_matrix)
 
 
 def test_multiindex_degree_and_keys():
-    a = MultiIndex((2, 1, 1))
-    assert a.degree == 4
-    assert a.as_key() == "2,1,1"
-    assert MultiIndex.from_key("2,1,1") == a
+    a = _parse_key((2, 1, 1))
+    assert type(a) is tuple and sum(a) == 4
+    assert _format_key(a) == "2,1,1"
+    assert _parse_key("2,1,1") == a
     with pytest.raises(ValueError):
-        MultiIndex((1, -1))
+        _parse_key((1, -1))
+
+
+BAD_KEYS = [(2.7, 0), (1.5, 0.5), "2.5,0", (-2, 4)]
+ENTRY_POINTS = {
+    "poly": lambda key: HomogeneousPoly(2, 2, {key: 1.0, (0, 2): 1.0}),
+    "moment": lambda key: moment(HomogeneousPoly.sum_of_powers(2, 2), key),
+    "semialgebraic": lambda key: KDescription.semialgebraic(
+        [{key: -1.0, (0, 0): 1.0}], box=[[-2, 2], [-2, 2]]),
+}
+
+
+@pytest.mark.parametrize("key", BAD_KEYS, ids=str)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_non_integer_or_negative_exponents_rejected(entry, key):
+    # int() would truncate 2.7 to 2 and read the key as (2, 0)
+    with pytest.raises(ValueError, match="nonnegative integer|invalid literal"):
+        ENTRY_POINTS[entry](key)
 
 
 def test_basis_graded_lex_examples():
-    assert [tuple(a) for a in enumerate_basis(2, 2)] == [(2, 0), (1, 1), (0, 2)]
-    assert [tuple(a) for a in enumerate_basis(1, 4)] == [(4,)]
-    assert len(enumerate_basis(3, 4)) == 15      # C(6,4)
+    assert [tuple(a) for a in basis_for(2, 2)] == [(2, 0), (1, 1), (0, 2)]
+    assert [tuple(a) for a in basis_for(1, 4)] == [(4,)]
+    assert len(basis_for(3, 4)) == 15      # C(6,4)
 
 
 def test_basis_is_bijection():
-    basis = enumerate_basis(3, 6)
+    basis = basis_for(3, 6)
     for k, alpha in enumerate(basis):
         assert basis.index_of(alpha) == k
         assert basis[k] == alpha
     # deterministic across calls (cached, but also order-stable)
-    again = enumerate_basis(3, 6)
+    again = basis_for(3, 6)
     assert list(again) == list(basis)
 
 
-def test_enumerate_basis_rejects_bad_degree():
+def test_bad_degree_or_dimension_rejected():
+    # polynomial degrees must be even and >= 2; basis_for takes any degree
     with pytest.raises(ValueError):
-        enumerate_basis(2, 3)
+        HomogeneousPoly(2, 3, np.zeros(4))
     with pytest.raises(ValueError):
-        enumerate_basis(2, 0)
+        HomogeneousPoly(2, 0, np.zeros(1))
     with pytest.raises(ValueError):
-        enumerate_basis(0, 2)
+        basis_for(0, 2)
 
 
 def test_eval_examples():

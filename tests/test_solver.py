@@ -218,6 +218,27 @@ def test_loose_stages_keep_the_answer(pts, degree, monkeypatch):
     assert taken <= 0.8 * tight_taken
 
 
+def test_stall_raises_within_two_stages_of_the_gap_bound(monkeypatch):
+    # the cloud of test_cli's exit-4 case: at tolerance 1e-16 the polished
+    # residual sits at its rounding floor (~9e-16) once the gap bound is met
+    rng = philox(3)
+    A = rng.normal(size=(2, 2)) + 1.5 * np.eye(2)
+    cs = ConstraintSet(rng.normal(size=(25, 2)) @ A)
+    config = SolverConfig(kkt_tolerance=1e-16)
+    past_gap = []
+    stage = solver._newton_stage
+
+    def counted(x, t, *args):
+        out = stage(x, t, *args)
+        past_gap.append(len(cs) / t <= config.kkt_tolerance * out[2][0])
+        return out
+
+    monkeypatch.setattr(solver, "_newton_stage", counted)
+    with pytest.raises(ConvergenceError, match="KKT residual stalled"):
+        solve_min_volume(cs, 2, config)
+    assert 1 <= sum(past_gap) <= 2
+
+
 def test_line_search_stops_at_phi_rounding():
     # Phi(x) = 1 + (x - 5.5e-8)^2 / 2 near x = 0: the Newton step predicts
     # a first-order decrease |grad^T p| = 3e-15, about 14 ulps of Phi, and

@@ -11,7 +11,8 @@ from homfit.polynomials import (HomogeneousPoly, basis_for, compose_linear,
                                 monomial_matrix)
 from homfit.spheres import (_gauss, grid_size, half_grid_factors,
                             half_sphere_grid, resolution_for_budget,
-                            sphere_grid, sphere_surface_area)
+                            sphere_grid)
+from homfit.verify import sphere_surface_area
 
 
 def test_surface_areas():
