@@ -60,7 +60,9 @@ def build_parser():
                         help="sample budget for semialgebraic sets (default 2000)")
     parser.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     parser.add_argument("--tol", type=float, default=None,
-                        help="KKT tolerance (default 1e-8)")
+                        help="KKT tolerance in (0, 1) (default 1e-8); near "
+                             "1e-15 the residual is rounding noise, and whether "
+                             "the solve exits 0 or 4 depends on its path")
     parser.add_argument("--out", default=None,
                         help="write the JSON report here (default: stdout)")
     parser.add_argument("--contours", type=int, default=None, metavar="N",

@@ -56,6 +56,29 @@ and ends where it would anyway, up to rounding.  There, steps above
 LOOSE_DECREMENT are Newton's damped phase, where the decrement need not
 halve, so they do not count toward the stall rule.
 
+Those loose stages run chord Newton for n >= 3 (Shamanskii's method;
+Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
+5.4).  The objective Hessian I_{a+b} needs the 2d moment slice, at n = 3,
+d = 4 about 4.3 times the cost of the degree-d slice, yet it only steers
+the step.  So a step may keep the objective Hessian of the stage's last
+full evaluation for up to CHORD_REUSES further steps, each only while the
+previous step's decrement fell below CHORD_DECREMENT times the one
+before; a stage's first step takes a full one, and the barrier term
+(D / s^2)^T D is rebuilt every step.  The gradient -I_a stays exact, so a
+kept step is zero exactly where Newton's is: the point the stage
+converges to does not move, only the path to it and, through the kept
+Hessian's decrement, where a loose stage stops, which no one reads.
+Stages that can yield take full Hessians, and so does the joint (g, a)
+path, whose eigenvalue flip needs the current one.  When the next step
+will keep the Hessian, the line search's trials ask for the degree-d
+slice along with the mass (moment_vector without the 2d slice, on the
+trials' ladder memory); the accepted trial's moments are that step's
+gradient, so a kept step costs no quadrature beyond its line search.
+At n = 2 the 2d slice has 2d + 1 columns, the degree-d slice d + 1, and
+the steps a kept Hessian adds cost more than it saves: on a 2-core x86
+box a prototype made the planar and centered benchmark suites slower,
+0.18 -> 0.27 s and 0.44 -> 0.47 s, so n = 2 keeps full Hessians.
+
 The iteration runs in whitened coordinates (sample scatter = identity).
 Without this, elongated clouds produce optimal coefficients that cancel
 catastrophically when g is evaluated near its sphere minimum, putting a
@@ -91,11 +114,21 @@ ARMIJO_SLOPE = 1e-4
 BACKTRACK_RATIO = 0.5
 PHI_ROUNDING = 1e-15         # relative rounding of Phi_t (module docstring)
 LOOSE_DECREMENT = 0.5        # stop of stages whose point goes unread
+CHORD_REUSES = 2             # steps that keep an objective Hessian (n >= 3)
+CHORD_DECREMENT = 0.5        # ... while each decrement falls below this share
 FEASIBILITY_MARGIN = 0.01    # initial-guess headroom
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """kkt_tolerance: the polished KKT residual (relative to y0) at which
+    a solve returns.  Any value in (0, 1) is accepted, but near 1e-15 the
+    residual is rounding noise whose value depends on the path the solve
+    took, so whether it returns or raises "stalled" does too: on one
+    25-point cloud at d = 2 one path reached 9.1e-16 and another stalled
+    at 1.8e-15.
+    """
+
     kkt_tolerance: float = 1e-8
     activity_tol: float = 1e-6           # slack threshold for the active set
 
@@ -302,11 +335,12 @@ def _barrier_path(x, n, degree, slacks, config, t=BARRIER_T0, label="",
 
     Runs a Newton stage at t, t * BARRIER_MULTIPLIER, ... from the
     strictly feasible x (loose where C is None and the point goes unread,
-    see the module docstring) and, after each stage that meets the bound
-    m/t <= kkt_tolerance * y0, yields (x, t, stages, Newton steps so far,
-    state), state being (y0, Phi_t, gradient, Hessian, s, D, moment
-    vector) at x.  Raises ConvergenceError, its message `label` + reason +
-    context(), when MAX_NEWTON_ITERS or MAX_STAGES runs out.
+    there chord Newton for n >= 3, see the module docstring) and, after
+    each stage that meets the bound m/t <= kkt_tolerance * y0, yields (x,
+    t, stages, Newton steps so far, state), state being (y0, Phi_t,
+    gradient, Hessian, s, D, moment vector) at x.  Raises
+    ConvergenceError, its message `label` + reason + context(), when
+    MAX_NEWTON_ITERS or MAX_STAGES runs out.
     """
     size = len(basis_for(n, degree))
     s0, _, curvature = slacks(x, True)
@@ -318,12 +352,19 @@ def _barrier_path(x, n, degree, slacks, config, t=BARRIER_T0, label="",
         return short_of_gap(BARRIER_MULTIPLIER * t, y0)
 
     loose = unread if curvature is None else None
+    chord = loose is not None and n >= 3
     hint = {}
     hint_phi = {}     # separate ladder memory: phi needs only the mass slice
+    kept = {}         # last full objective Hessian, last fused trial's moments
 
-    def derivatives(x, t):
-        y0, grad_f, hess_f, mv = objective_grad_hess(
-            HomogeneousPoly(n, degree, x[:size]), hint)
+    def derivatives(x, t, reuse=False):
+        if reuse:       # x is the last fused trial (_newton_stage)
+            mv = kept["moments"]
+            y0, grad_f, hess_f = mv.y0, -mv.slice_d, kept["hess_f"]
+        else:
+            y0, grad_f, hess_f, mv = objective_grad_hess(
+                HomogeneousPoly(n, degree, x[:size]), hint)
+            kept["hess_f"] = hess_f
         s, D, curvature = slacks(x, True)
         if curvature is None:       # one m x size temporary per step
             grad = t * grad_f + D.T @ (1.0 / s)
@@ -339,13 +380,17 @@ def _barrier_path(x, n, degree, slacks, config, t=BARRIER_T0, label="",
         phi = t * y0 - float(np.sum(np.log(s)))
         return y0, phi, grad, hess, s, D, mv
 
-    def barrier_value(x, t):
+    def barrier_value(x, t, fuse=False):
         s = slacks(x)
         if np.any(s <= 0.0):
             return np.inf
+        g = HomogeneousPoly(n, degree, x[:size])
         try:
-            y0 = integral_exp(HomogeneousPoly(n, degree, x[:size]),
-                              hint=hint_phi)
+            if fuse:        # also the gradient moments, for a reused step
+                mv = moment_vector(g, hint=hint_phi)
+                kept["moments"], y0 = mv, mv.y0
+            else:
+                y0 = integral_exp(g, hint=hint_phi)
         except NotInConeError:
             return np.inf
         return t * y0 - float(np.sum(np.log(s)))
@@ -353,7 +398,7 @@ def _barrier_path(x, n, degree, slacks, config, t=BARRIER_T0, label="",
     total = 0
     for stage in range(1, MAX_STAGES + 1):
         x, steps, state = _newton_stage(x, t, derivatives, barrier_value,
-                                        MAX_NEWTON_ITERS - total, loose)
+                                        MAX_NEWTON_ITERS - total, loose, chord)
         total += steps
         if not short_of_gap(t, state[0]):
             yield x, t, stage, total, state
@@ -367,11 +412,19 @@ def _barrier_path(x, n, degree, slacks, config, t=BARRIER_T0, label="",
         f"tolerance{context()}")
 
 
-def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None):
+def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None,
+                  chord=False):
     """Damped Newton on one barrier function Phi_t, from x.
 
     derivatives(x, t) returns (y0, Phi_t(x), gradient, Hessian, ...) and
-    barrier_value(x, t) returns Phi_t(x), or +inf outside the domain.  An
+    barrier_value(x, t) returns Phi_t(x), or +inf outside the domain.
+    With chord (convex paths, n >= 3, where loose is given) both take a
+    third argument: barrier_value(x, t, True) also keeps the gradient
+    moments at x, and derivatives(x, t, True) at that accepted trial x
+    returns its exact gradient with the objective Hessian of the last full
+    evaluation (module docstring); a step keeps it only where loose(t, y0)
+    holds, after a full step, for at most CHORD_REUSES steps, and while the
+    decrement falls below CHORD_DECREMENT times the last one.  An
     indefinite Hessian is made positive definite by the escalating ridge
     of _newton_step, so every step is a descent direction.  Stops on the
     scale-aware decrement test, at decrement LOOSE_DECREMENT where
@@ -385,8 +438,9 @@ def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None):
     Returns (x, steps taken, derivatives(x, t) at the returned x).
     """
     best_dec2, stall, steps = np.inf, 0, 0
+    reuse, reused, last_dec2 = False, 0, np.inf
     for _ in range(budget):
-        state = derivatives(x, t)
+        state = derivatives(x, t, reuse) if chord else derivatives(x, t)
         y0, phi0, grad, hess = state[:4]
         step = _newton_step(hess, grad)
         dec2 = float(-grad @ step)
@@ -400,6 +454,11 @@ def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None):
             stall += 1
             if stall >= 6:
                 break
+        if chord:       # does the next step keep this objective Hessian?
+            reused = reused + 1 if reuse else 0
+            reuse = (reused < CHORD_REUSES and loose(t, y0)
+                     and dec2 < CHORD_DECREMENT * last_dec2)
+            last_dec2 = dec2
 
         armijo = ARMIJO_SLOPE * (grad @ step)
         floor = PHI_ROUNDING * abs(phi0)
@@ -407,7 +466,8 @@ def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None):
         accepted = False
         while alpha > 1e-14 and alpha * dec2 > floor:
             trial = x + alpha * step
-            phi = barrier_value(trial, t)
+            phi = (barrier_value(trial, t, reuse) if chord
+                   else barrier_value(trial, t))
             if np.isfinite(phi) and phi <= phi0 + alpha * armijo:
                 x = trial
                 accepted = True

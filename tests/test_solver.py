@@ -9,7 +9,8 @@ from conftest import philox, quartic_star, random_cloud, symmetric_cloud
 from homfit import (ConstraintSet, ConvergenceError, DegenerateInputError,
                     HomogeneousPoly, SolverConfig, build_certificate,
                     initial_guess, integral_exp, kkt_residual, moment_vector,
-                    objective_grad_hess, solve_min_volume, solver)
+                    objective_grad_hess, solve_min_volume,
+                    solve_min_volume_centered, solver)
 
 PI = math.pi
 
@@ -216,6 +217,63 @@ def test_loose_stages_keep_the_answer(pts, degree, monkeypatch):
     (volume, taken), (tight_volume, tight_taken) = runs
     assert volume == pytest.approx(tight_volume, rel=1e-12)
     assert taken <= 0.8 * tight_taken
+
+
+def count_quadrature_and_reuses(monkeypatch):
+    """Record include_2d of every solver moment_vector call, and whether
+    each Newton step kept an objective Hessian (derivatives' third
+    argument)."""
+    include_2d, reuses = [], []
+    moments, stage = solver.moment_vector, solver._newton_stage
+
+    def counted_moments(g, **kwargs):
+        include_2d.append(kwargs.get("include_2d", False))
+        return moments(g, **kwargs)
+
+    def counted_stage(x, t, derivatives, *rest):
+        def counted(x, t, *reuse):
+            reuses.append(bool(reuse and reuse[0]))
+            return derivatives(x, t, *reuse)
+        return stage(x, t, counted, *rest)
+
+    monkeypatch.setattr(solver, "moment_vector", counted_moments)
+    monkeypatch.setattr(solver, "_newton_stage", counted_stage)
+    return include_2d, reuses
+
+
+@pytest.mark.parametrize("pts,degree", [(symmetric_cloud(3, n=3, m=30), 4),
+                                        (symmetric_cloud(5, n=4, m=20), 2)],
+                         ids=["n3_d4", "n4_d2"])
+def test_chord_newton_keeps_the_answer(pts, degree, monkeypatch):
+    # loose stages at n >= 3 keep an objective Hessian for a few steps; the
+    # gradient stays exact, so the answer is that of full Hessians on every
+    # step (the reuse constant at 0), for far fewer 2d-slice quadratures
+    include_2d, reuses = count_quadrature_and_reuses(monkeypatch)
+    cs = ConstraintSet(pts)
+    runs = []
+    for limit in (solver.CHORD_REUSES, 0):
+        monkeypatch.setattr(solver, "CHORD_REUSES", limit)
+        include_2d.clear()
+        reuses.clear()
+        rep = solve_min_volume(cs, degree)
+        runs.append((rep.volume, rep.iterations, sum(include_2d), sum(reuses)))
+    (volume, steps, full, kept), (ref_volume, ref_steps, ref_full, none) = runs
+    assert volume == pytest.approx(ref_volume, rel=1e-12)
+    assert kept > 0 and none == 0
+    assert full <= 0.65 * ref_full
+    assert steps <= 1.1 * ref_steps
+
+
+def test_chord_newton_skips_n2_and_the_joint_path(monkeypatch):
+    # at n = 2 a kept Hessian costs more steps than it saves, and the joint
+    # (g, a) path's eigenvalue flip needs the current Hessian: neither keeps
+    # one, and neither asks the line search for gradient moments
+    include_2d, reuses = count_quadrature_and_reuses(monkeypatch)
+    solve_min_volume(ConstraintSet(quartic_star()[1]), 4)
+    solve_min_volume_centered(
+        ConstraintSet(random_cloud(3, n=2, m=25) + [2.0, -1.0]), 2)
+    assert reuses and not any(reuses)
+    assert include_2d and all(include_2d)
 
 
 def test_stall_raises_within_two_stages_of_the_gap_bound(monkeypatch):
