@@ -28,7 +28,7 @@ from .integrals import (MomentVector, integral_exp, moment, moment_vector,
 from .oracle import EllipsoidOracleResult, mvee_symmetric
 from .polynomials import (BasisEnumeration, HomogeneousPoly, basis_for,
                           compose_linear, min_on_sphere)
-from .solver import (SolveReport, SolverConfig, initial_guess, kkt_residual,
+from .solver import (SolveReport, initial_guess, kkt_residual,
                      objective_grad_hess, solve_min_volume)
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "EllipsoidOracleResult", "EmptySetError", "HomfitError",
     "HomogeneousPoly", "InclusionAudit", "InfeasibleError", "KDescription",
     "KktCertificate", "MomentVector", "NotInConeError", "ReductionError",
-    "SolveReport", "SolverConfig", "basis_for", "build_certificate",
+    "SolveReport", "basis_for", "build_certificate",
     "caratheodory_reduce", "compose_linear", "inclusion_check",
     "initial_guess", "integral_exp", "kkt_residual", "min_on_sphere",
     "moment", "moment_vector", "mvee_symmetric", "objective_grad_hess",

@@ -23,16 +23,16 @@ cold solve's t_final with the cold answer; it falls back to a cold one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constraints import ConstraintSet
 from .errors import ConvergenceError, DegenerateInputError, NotInConeError
 from .polynomials import (HomogeneousPoly, basis_for, compose_linear,
-                          monomial_hessian, monomial_jacobian)
+                          monomial_partials)
 from .solver import (BARRIER_MULTIPLIER, BARRIER_T0, SolveReport,
-                     SolverConfig, _barrier_path, _whiten, initial_guess,
+                     _barrier_path, _check_tolerance, _whiten, initial_guess,
                      solve_min_volume)
 
 __all__ = ["CenteredSolveReport", "solve_min_volume_centered", "rho_of_center"]
@@ -63,30 +63,23 @@ class CenteredSolveReport:
         return self.inner.g_star
 
 
-def _solve_at(cs, a, degree, config, resume=None):
+def _solve_at(cs, a, degree, tol, resume=None):
     """Fixed-center solve for the points shifted by -a: resumed from
-    resume = (g, t) if given, then cold if that fails.  A cold
-    ConvergenceError is retried once with activity_tol at the KKT
-    tolerance: near the optimal center, points just inside the boundary
-    count as active and stall the KKT residual.
+    resume = (g, t) if given, then cold if that fails.  The solver picks
+    the contacts itself, points just inside the boundary included, so a
+    cold failure is final.
 
     Returns (objective, report, solves run), or (+inf, error, solves run)
     when the shifted problem has no solve.
     """
     shifted = ConstraintSet(cs.points - a, provenance=cs.provenance)
-    attempts = [(config, resume)] if resume is not None else []
-    attempts.append((config, None))
-    if config.kkt_tolerance < config.activity_tol:
-        attempts.append((replace(config, activity_tol=config.kkt_tolerance),
-                         None))
-    for solves, (cfg, start) in enumerate(attempts, start=1):
+    starts = [resume, None] if resume is not None else [None]
+    for solves, start in enumerate(starts, start=1):
         try:
-            report = solve_min_volume(shifted, degree, cfg, start)
+            report = solve_min_volume(shifted, degree, tol, start)
             return report.objective, report, solves
         except (ConvergenceError, DegenerateInputError, NotInConeError) as exc:
             error = exc
-            if start is None and not isinstance(exc, ConvergenceError):
-                break
     return np.inf, error, solves
 
 
@@ -101,17 +94,16 @@ def _resume_point(g_w, t, W, L, z):
     return compose_linear(g_w, W), BARRIER_T0 * BARRIER_MULTIPLIER ** max(k, 0)
 
 
-def rho_of_center(a, cs, degree, config=None):
+def rho_of_center(a, cs, degree, tol=1e-8):
     """Optimal objective Integral exp(-g*) for the points shifted by -a.
 
     +inf when the shifted problem is degenerate or the solve fails.
     """
-    value, _, _ = _solve_at(cs, np.asarray(a, dtype=float), degree,
-                            config or SolverConfig())
+    value, _, _ = _solve_at(cs, np.asarray(a, dtype=float), degree, tol)
     return value
 
 
-def _joint_path(points, degree, config):
+def _joint_path(points, degree, tol=1e-8):
     """Log-barrier Newton path in (g, a) for whitened points whose
     centroid is the origin, starting at a = 0.
 
@@ -128,24 +120,25 @@ def _joint_path(points, degree, config):
         if not jacobian:
             return 1.0 - g(z)
         M = basis.monomials(z)
-        dM = monomial_jacobian(z, basis.exponents)          # (m, size, n)
-        grad_g = np.einsum("ikj,k->ij", dM, g.coeff_vector)
-        hess_g = np.einsum("ikjl,k->ijl",
-                           monomial_hessian(z, basis.exponents), g.coeff_vector)
+        dM = [monomial_partials(z, basis.exponents, (j,)) for j in range(n)]
         s = 1.0 - M @ g.coeff_vector
         inv = 1.0 / s
         # minus sum_i (second derivative of s_i) / s_i: the g-a block of
         # d2s is +dm/dz, the a-a block is -hess g
         curvature = np.zeros((size + n, size + n))
-        curvature[:size, size:] = -np.einsum("ikj,i->kj", dM, inv)
+        for j in range(n):
+            curvature[:size, size + j] = -(inv @ dM[j])
+            for l in range(j, n):
+                hess_jl = monomial_partials(z, basis.exponents, (j, l)) @ g.coeff_vector
+                curvature[size + j, size + l] = curvature[size + l, size + j] = inv @ hess_jl
         curvature[size:, :size] = curvature[:size, size:].T
-        curvature[size:, size:] = np.einsum("ijl,i->jl", hess_g, inv)
         # -ds/d(g, a): row i is (m(z_i), -grad g(z_i))
+        grad_g = np.column_stack([dMj @ g.coeff_vector for dMj in dM])
         return s, np.hstack([M, -grad_g]), curvature
 
     x = np.concatenate([initial_guess(points, degree).coeff_vector,
                         np.zeros(n)])
-    path = _barrier_path(x, n, degree, slacks, config, label="joint path: ")
+    path = _barrier_path(x, n, degree, slacks, tol, label="joint path: ")
     x, t, stages, steps, state = next(path)
     y0, slack, jac = state[0], state[4], state[5]
     lam = 1.0 / (t * slack)
@@ -154,7 +147,7 @@ def _joint_path(points, degree, config):
             stationarity)
 
 
-def solve_min_volume_centered(cs, degree, config=None):
+def solve_min_volume_centered(cs, degree, tol=1e-8):
     """Best center and polynomial for {x : g(x - a) <= 1} containing the
     points.
 
@@ -167,9 +160,10 @@ def solve_min_volume_centered(cs, degree, config=None):
     Raises DegenerateInputError if the points minus their centroid do
     not span R^n (the volume then tends to 0 and no minimizer exists).
     If no candidate center admits a solve, raises the error of the first
-    candidate.
+    candidate.  tol is the KKT tolerance of the joint path and of every
+    fixed-center solve (solver.solve_min_volume).
     """
-    config = config or SolverConfig()
+    _check_tolerance(tol)
     points = cs.points
     n = points.shape[1]
     centroid = points.mean(axis=0)
@@ -181,7 +175,7 @@ def solve_min_volume_centered(cs, degree, config=None):
     candidates, steps = [], 0
     try:
         a_w, g_w, t, steps, meta["joint_stages"], \
-            meta["center_stationarity"] = _joint_path(whitened, degree, config)
+            meta["center_stationarity"] = _joint_path(whitened, degree, tol)
         center = centroid + L @ a_w
         candidates.append(("joint", center, _resume_point(
             g_w, t, W, L, points - center)))
@@ -192,7 +186,7 @@ def solve_min_volume_centered(cs, degree, config=None):
     results = []
     evaluations = 0
     for name, center, resume in candidates:
-        value, report, solves = _solve_at(cs, center, degree, config, resume)
+        value, report, solves = _solve_at(cs, center, degree, tol, resume)
         evaluations += solves
         results.append((value, report, center, name))
     value, report, center, meta["chosen"] = min(results, key=lambda r: r[0])

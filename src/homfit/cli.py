@@ -33,8 +33,8 @@ from .constraints import ConstraintSet, KDescription, inclusion_check, to_constr
 from .errors import (CertificateError, ConvergenceError, DegenerateInputError,
                      EmptySetError, InfeasibleError, NotInConeError)
 from .oracle import mvee_symmetric
-from .polynomials import _format_key, positivity_floor
-from .solver import SolverConfig, solve_min_volume
+from .polynomials import _format_key, _hessian_alias, positivity_floor
+from .solver import solve_min_volume
 
 __all__ = ["build_parser", "load_description", "run", "main", "emit_contours"]
 
@@ -59,7 +59,7 @@ def build_parser():
     parser.add_argument("--budget", type=int, default=2000,
                         help="sample budget for semialgebraic sets (default 2000)")
     parser.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=float, default=1e-8,
                         help="KKT tolerance in (0, 1) (default 1e-8); near "
                              "1e-15 the residual is rounding noise, and whether "
                              "the solve exits 0 or 4 depends on its path")
@@ -124,7 +124,7 @@ def load_description(path):
 
 def _q_matrix_from_coeffs(g):
     # d = 2 only: g(x) = x'Qx with Q_ii = g_{2e_i}, Q_ij = g_{e_i+e_j}/2
-    Q = g.coeff_vector[integrals._hessian_alias(g.n, 1)]
+    Q = g.coeff_vector[_hessian_alias(g.n, 1)]
     return np.where(np.eye(g.n, dtype=bool), Q, 0.5 * Q)
 
 
@@ -260,7 +260,7 @@ def run(args):
             raise ValueError("--budget must be >= 1")
         if args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        if args.tol is not None and not (0 < args.tol < 1):
+        if not (0 < args.tol < 1):
             raise ValueError("--tol must be in (0, 1)")
         if args.contours is not None and args.contours < 3:
             raise ValueError("--contours must be >= 3")
@@ -277,16 +277,13 @@ def run(args):
         _emit_error("parse", str(exc))
         return EXIT_PARSE
 
-    config = (SolverConfig() if args.tol is None
-              else SolverConfig(kkt_tolerance=args.tol))
-
     try:
         cs = to_constraints(k, budget=args.budget, seed=args.seed)
         if args.mode == "p":
-            centered = solve_min_volume_centered(cs, args.degree, config)
+            centered = solve_min_volume_centered(cs, args.degree, args.tol)
             report, center = centered.inner, centered.center
         else:
-            report = solve_min_volume(cs, args.degree, config)
+            report = solve_min_volume(cs, args.degree, args.tol)
             center = np.zeros(k.n)
         try:
             cert = build_certificate(report, _shifted(cs, center))

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptySetError
-from .polynomials import _parse_key, monomial_jacobian, monomial_matrix
+from .polynomials import _parse_key, monomial_matrix, monomial_partials
 
 __all__ = ["KDescription", "ConstraintSet", "to_constraints", "inclusion_check",
            "InclusionAudit"]
@@ -172,12 +172,8 @@ def to_constraints(k, budget=2000, seed=0):
                 f"no point satisfied all inequalities after {attempts} draws"
             )
         if attempts >= hard_cap:
-            if count == 0:
-                raise EmptySetError(
-                    f"no point satisfied all inequalities after {attempts} draws"
-                )
             break   # thin but nonempty set: proceed with what was found
-    interior = np.vstack(accepted)[:budget] if count >= budget else np.vstack(accepted)
+    interior = np.vstack(accepted)[:budget]
     boundary = _push_to_boundary(k, interior)
     combined = np.vstack([interior, boundary]) if boundary.size else interior
     return ConstraintSet(combined, provenance="semialgebraic")
@@ -199,9 +195,12 @@ def _push_to_boundary(k, points):
     def values(x):
         return np.column_stack([q(x) for q in k.inequalities])
 
+    def gradient(q):
+        return np.column_stack([monomial_partials(points, q.exponents, (j,)) @ q.coeffs
+                                for j in range(k.n)])
+
     binding = np.argmin(values(points), axis=1)
-    grad = np.stack([np.einsum("k,mkn->mn", q.coeffs, monomial_jacobian(points, q.exponents))
-                     for q in k.inequalities])[binding, np.arange(len(points))]
+    grad = np.stack([gradient(q) for q in k.inequalities])[binding, np.arange(len(points))]
     norm = np.linalg.norm(grad, axis=1)
     keep = np.flatnonzero(norm >= 1e-12)
     binding, direction = binding[keep], -grad[keep] / norm[keep, None]

@@ -57,8 +57,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotInConeError
-from .polynomials import (_parse_key, basis_for, monomial_matrix,
-                          positivity_floor)
+from .polynomials import (_hessian_alias, _parse_key, basis_for,
+                          monomial_matrix, positivity_floor)
 from .spheres import grid_size, half_grid_factors, resolution_for_budget
 
 __all__ = [
@@ -96,19 +96,6 @@ class MomentVector:
         if self.slice_2d is None:
             raise ValueError("2d moments were not computed; pass include_2d=True")
         return self.slice_2d[_hessian_alias(self.n, self.degree)]
-
-
-@lru_cache(maxsize=64)
-def _hessian_alias(n, degree):
-    # position of a+b in the 2d basis, for a, b in the d basis
-    small = basis_for(n, degree)
-    big = basis_for(n, 2 * degree)
-    size = len(small)
-    alias = np.empty((size, size), dtype=np.int64)
-    for i, a in enumerate(small):
-        for j, b in enumerate(small):
-            alias[i, j] = big.index_of(tuple(x + y for x, y in zip(a, b)))
-    return alias
 
 
 def _power_tables(n, resolution, exps):

@@ -24,8 +24,7 @@ __all__ = [
     "HomogeneousPoly",
     "basis_for",
     "monomial_matrix",
-    "monomial_jacobian",
-    "monomial_hessian",
+    "monomial_partials",
     "power_matrix",
     "compose_linear",
     "min_on_sphere",
@@ -167,30 +166,24 @@ def _differentiate(exponents, axes):
     return shifted, factor
 
 
-def monomial_jacobian(x, exponents):
-    """First derivatives of every monomial: out[i, k, j] = d x^a_k / dx_j
-    at point i; shape (m, rows, n)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[1]
-    out = np.empty((x.shape[0], len(exponents), n))
-    for j in range(n):
-        shifted, factor = _differentiate(exponents, (j,))
-        out[:, :, j] = monomial_matrix(x, shifted) * factor
-    return out
+def monomial_partials(x, exponents, axes):
+    """d/dx_j1 ... d/dx_jk of x^a for each exponent row a, j in `axes`,
+    at the (m, n) points x; returns shape (m, rows)."""
+    shifted, factor = _differentiate(exponents, axes)
+    return monomial_matrix(x, shifted) * factor
 
 
-def monomial_hessian(x, exponents):
-    """Second derivatives of every monomial: out[i, k, j, l] =
-    d^2 x^a_k / dx_j dx_l at point i; shape (m, rows, n, n)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[1]
-    out = np.empty((x.shape[0], len(exponents), n, n))
-    for j in range(n):
-        for l in range(j, n):
-            shifted, factor = _differentiate(exponents, (j, l))
-            out[:, :, j, l] = monomial_matrix(x, shifted) * factor
-            out[:, :, l, j] = out[:, :, j, l]
-    return out
+@lru_cache(maxsize=64)
+def _hessian_alias(n, degree):
+    # position of a+b in the 2d basis, for a, b in the d basis
+    small = basis_for(n, degree)
+    big = basis_for(n, 2 * degree)
+    size = len(small)
+    alias = np.empty((size, size), dtype=np.int64)
+    for i, a in enumerate(small):
+        for j, b in enumerate(small):
+            alias[i, j] = big.index_of(tuple(x + y for x, y in zip(a, b)))
+    return alias
 
 
 class HomogeneousPoly:
@@ -270,10 +263,9 @@ class HomogeneousPoly:
         arr = np.atleast_2d(np.asarray(x, dtype=float))
         if arr.shape[1] != self.n:
             raise ValueError("point dimension mismatch")
-        out = np.empty((arr.shape[0], self.n))
-        for j in range(self.n):
-            shifted, factor = _differentiate(self.basis.exponents, (j,))
-            out[:, j] = monomial_matrix(arr, shifted) @ (self.coeff_vector * factor)
+        out = np.column_stack([
+            monomial_partials(arr, self.basis.exponents, (j,)) @ self.coeff_vector
+            for j in range(self.n)])
         return out[0] if np.asarray(x).ndim == 1 else out
 
     def __add__(self, other):

@@ -15,10 +15,14 @@ by damped Newton steps (Cholesky with escalating ridge, Armijo
 backtracking that rejects steps leaving the positivity cone), then grow
 t by a fixed factor until the duality-gap bound m/t is below tolerance.
 Barrier multipliers 1/(t*(1-g(x_i))) are then polished by a least-squares
-fit of the active monomial columns to the degree-d moment vector.  While
-that polished KKT residual is above tolerance the path goes on, but only
-as long as each stage at least halves it; a stage that does not ends the
-solve with a "stalled" ConvergenceError.
+fit of the contact columns to the degree-d moment vector.  The solver
+picks the contacts itself, in at most two cuts: the points with slack
+<= ACTIVITY_TOL, and, only if that fit misses the tolerance tol, the
+points with slack <= tol, whose fit ignores points just inside the
+boundary (one more least-squares fit, not one more solve).  The first fit
+that meets tol is taken.  While neither does the path goes on, but only
+as long as each stage at least halves the smaller residual of the two; a
+stage that does not ends the solve with a "stalled" ConvergenceError.
 
 The barrier path (_barrier_path) and the whitening (_whiten) are shared
 with the centered fit, whose slacks 1 - g(x_i - a) also depend on a
@@ -87,8 +91,9 @@ residual.  The optimum maps back exactly, with no second quadrature: for
 x = L u the user-frame moments are |det L| P_d(L) times the whitened ones
 (power_matrix) and lambda_i = |det L| lambda_w_i.  The solve fails closed
 (ConvergenceError) if its final quadrature did not converge, or if the
-user-frame g* misses the whitened values at the points by more than
-activity_tol, the slack that separates contacts from interior points.
+user-frame g* misses the whitened values at the points by more than the
+cut of the taken fit, the slack that separates contacts from interior
+points.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ from .integrals import MomentVector, integral_exp, moment_vector
 from .polynomials import (HomogeneousPoly, basis_for, compose_linear,
                           power_matrix)
 
-__all__ = ["SolverConfig", "SolveReport", "initial_guess", "objective_grad_hess",
+__all__ = ["SolveReport", "initial_guess", "objective_grad_hess",
            "solve_min_volume", "kkt_residual"]
 
 BARRIER_T0 = 1.0             # barrier weight t of the first stage
@@ -117,24 +122,13 @@ LOOSE_DECREMENT = 0.5        # stop of stages whose point goes unread
 CHORD_REUSES = 2             # steps that keep an objective Hessian (n >= 3)
 CHORD_DECREMENT = 0.5        # ... while each decrement falls below this share
 FEASIBILITY_MARGIN = 0.01    # initial-guess headroom
+ACTIVITY_TOL = 1e-6          # first contact cut: slacks at or below it
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """kkt_tolerance: the polished KKT residual (relative to y0) at which
-    a solve returns.  Any value in (0, 1) is accepted, but near 1e-15 the
-    residual is rounding noise whose value depends on the path the solve
-    took, so whether it returns or raises "stalled" does too: on one
-    25-point cloud at d = 2 one path reached 9.1e-16 and another stalled
-    at 1.8e-15.
-    """
-
-    kkt_tolerance: float = 1e-8
-    activity_tol: float = 1e-6           # slack threshold for the active set
-
-    def __post_init__(self):
-        if not (0 < self.kkt_tolerance < 1):
-            raise ValueError("kkt_tolerance must be in (0, 1)")
+def _check_tolerance(tol):
+    """ValueError unless the KKT tolerance tol lies in (0, 1)."""
+    if not (0 < tol < 1):
+        raise ValueError("kkt_tolerance must be in (0, 1)")
 
 
 @dataclass
@@ -204,15 +198,16 @@ def kkt_residual(g, multipliers, cs):
     return _residual_from_parts(V, lam, mv.slice_d, slack, mv.y0)
 
 
-def _polish_multipliers(V, slack, yd, activity_tol):
-    """Least-squares fit of active columns to the moment vector.
+def _polish_multipliers(V, slack, yd, cut):
+    """Least-squares fit of the contact columns, slack <= cut, to the
+    moment vector.
 
     Minimum-norm solution first (symmetric data gets symmetric weights);
     if any weight comes out negative beyond roundoff, refit with a
     nonnegativity constraint.  Returns the dense lambda, zero off the
-    active set.
+    contacts.
     """
-    active = np.flatnonzero(slack <= activity_tol)
+    active = np.flatnonzero(slack <= cut)
     lam = np.zeros(V.shape[0])
     if active.size == 0:
         return lam
@@ -244,9 +239,17 @@ def _whiten(points, message):
     return L, W, points @ W.T
 
 
-def solve_min_volume(cs, degree, config=None, resume=None):
+def solve_min_volume(cs, degree, tol=1e-8, resume=None):
     """Minimum-volume enclosing sublevel set of even degree >= 2 for the
     points of the ConstraintSet cs; returns a SolveReport.
+
+    tol is the polished KKT residual (relative to y0) at which the solve
+    returns; the contacts of that fit are the points with slack <=
+    ACTIVITY_TOL or, if that fit misses tol, <= tol (module docstring).
+    Any tol in (0, 1) is accepted, but near 1e-15 the residual is rounding
+    noise whose value depends on the path the solve took, so whether it
+    returns or raises "stalled" does too: on one 25-point cloud at d = 2
+    one path reached 9.1e-16 and another stalled at 1.8e-15.
 
     resume = (g, t) runs the barrier path from g (user frame) at weight t
     (the units of SolveReport.t_final), not from initial_guess at
@@ -256,7 +259,7 @@ def solve_min_volume(cs, degree, config=None, resume=None):
     not reached within the iteration budget, and NotInConeError if a
     resumed g is not positive on the sphere.
     """
-    config = config or SolverConfig()
+    _check_tolerance(tol)
     if degree < 2 or degree % 2:
         raise ValueError(f"degree must be even and >= 2, got {degree}")
     raw_points = cs.points
@@ -281,15 +284,21 @@ def solve_min_volume(cs, degree, config=None, resume=None):
         s = 1.0 - V @ vec
         return (s, V, None) if jacobian else s
 
+    cuts = (ACTIVITY_TOL, tol) if tol < ACTIVITY_TOL else (ACTIVITY_TOL,)
     res = np.inf
-    path = _barrier_path(gvec, n, degree, slacks, config, t0,
+    path = _barrier_path(gvec, n, degree, slacks, tol, t0,
                          context=lambda: f" (last residual {res:.3e})")
     for gvec, t, stages, total_newton, state in path:
         y0, slack, mv_full = state[0], state[4], state[-1]
         yd = mv_full.slice_d
-        lam = _polish_multipliers(V, slack, yd, config.activity_tol)
-        res, last = _residual_from_parts(V, lam, yd, slack, y0), res
-        if res <= config.kkt_tolerance:
+        fits = []
+        for cut in cuts:        # the first fit that meets tol, else the best
+            lam = _polish_multipliers(V, slack, yd, cut)
+            fits.append((_residual_from_parts(V, lam, yd, slack, y0), cut, lam))
+            if fits[-1][0] <= tol:
+                break
+        last, (res, cut, lam) = res, min(fits, key=lambda fit: fit[0])
+        if res <= tol:
             info = mv_full.quadrature_info
             if not info["converged"]:
                 raise ConvergenceError(
@@ -297,11 +306,10 @@ def solve_min_volume(cs, degree, config=None, resume=None):
                     f"points (ladder delta {info['last_delta']:.3e})")
             g_out = compose_linear(HomogeneousPoly(n, degree, gvec), W)
             drift = float(np.max(np.abs(g_out(raw_points) - (1.0 - slack))))
-            if drift > config.activity_tol:
+            if drift > cut:
                 raise ConvergenceError(
                     f"frame change: user-frame and whitened g* disagree by "
-                    f"{drift:.3e} at the points (activity_tol "
-                    f"{config.activity_tol:.1e})")
+                    f"{drift:.3e} at the points (activity_tol {cut:.1e})")
             objective = det_L * y0
             yd_user = det_L * (power_matrix(L, degree) @ yd)
             return SolveReport(
@@ -317,10 +325,10 @@ def solve_min_volume(cs, degree, config=None, resume=None):
         if res > 0.5 * last:
             raise ConvergenceError(
                 f"KKT residual stalled at {res:.3e} (tolerance "
-                f"{config.kkt_tolerance:.1e}, t={t:.3e})")
+                f"{tol:.1e}, t={t:.3e})")
 
 
-def _barrier_path(x, n, degree, slacks, config, t=BARRIER_T0, label="",
+def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
                   context=lambda: ""):
     """Log-barrier path for Phi_t(x) = t * Integral exp(-g) - sum_i log s_i(x),
     g the degree-d form in n variables with coefficients x[:size]; any
@@ -336,7 +344,7 @@ def _barrier_path(x, n, degree, slacks, config, t=BARRIER_T0, label="",
     Runs a Newton stage at t, t * BARRIER_MULTIPLIER, ... from the
     strictly feasible x (loose where C is None and the point goes unread,
     there chord Newton for n >= 3, see the module docstring) and, after
-    each stage that meets the bound m/t <= kkt_tolerance * y0, yields (x,
+    each stage that meets the bound m/t <= tol * y0, yields (x,
     t, stages, Newton steps so far, state), state being (y0, Phi_t,
     gradient, Hessian, s, D, moment vector) at x.  Raises
     ConvergenceError, its message `label` + reason + context(), when
@@ -346,7 +354,7 @@ def _barrier_path(x, n, degree, slacks, config, t=BARRIER_T0, label="",
     s0, _, curvature = slacks(x, True)
 
     def short_of_gap(t, y0):        # the gap bound m/t <= tol * y0 is unmet
-        return len(s0) / t > config.kkt_tolerance * y0
+        return len(s0) / t > tol * y0
 
     def unread(t, y0):              # neither this stage nor the next yields
         return short_of_gap(BARRIER_MULTIPLIER * t, y0)

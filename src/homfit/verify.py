@@ -23,8 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .integrals import _hessian_alias, moment, moment_vector
-from .polynomials import _parse_key, basis_for, check_in_cone, monomial_matrix
+from .integrals import moment, moment_vector
+from .polynomials import (_hessian_alias, _parse_key, basis_for,
+                          check_in_cone, monomial_matrix)
 
 __all__ = ["McVolume", "mc_volume", "CrosscheckResult",
            "crosscheck_levelset_moment", "contact_moment_matrix",

@@ -6,6 +6,7 @@ forms, 1-D quadrature reductions, or the independent oracles; nothing is
 copied from the solver under test.
 """
 
+import inspect
 import math
 import time
 
@@ -14,11 +15,10 @@ import pytest
 
 from conftest import (dball_contact_check, philox, quartic_star,
                       symmetric_cloud)
-from homfit import (ConstraintSet, HomogeneousPoly, SolverConfig,
-                    basis_for, build_certificate, initial_guess,
-                    integral_exp, moment_vector, mvee_symmetric,
-                    solve_min_volume, solve_min_volume_centered,
-                    volume_sublevel)
+from homfit import (ConstraintSet, HomogeneousPoly, basis_for,
+                    build_certificate, initial_guess, integral_exp,
+                    moment_vector, mvee_symmetric, solve_min_volume,
+                    solve_min_volume_centered, volume_sublevel)
 from homfit.polynomials import check_in_cone
 from homfit.solver import BARRIER_T0
 from homfit.verify import crosscheck_levelset_moment, mc_volume
@@ -178,7 +178,7 @@ def test_criterion_05_kkt_certificates(disk8, dball8):
 def test_criterion_06_uniqueness_probe():
     rng = philox(11)
     worst = 0.0
-    tol = SolverConfig().kkt_tolerance
+    tol = inspect.signature(solve_min_volume).parameters["tol"].default
     for i in range(10):
         d = 4 if i % 3 == 2 else 2
         half = rng.normal(size=(10, 2)) @ (rng.normal(size=(2, 2)) + 1.5 * np.eye(2))

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import philox, symmetric_cloud
 from homfit import (ConstraintSet, ConvergenceError, DegenerateInputError,
-                    KDescription, NotInConeError, SolverConfig, centering,
+                    KDescription, NotInConeError, centering,
                     rho_of_center, solve_min_volume, solve_min_volume_centered,
                     solver, to_constraints)
 from homfit.solver import _whiten
@@ -126,7 +126,7 @@ def test_joint_budget_message_keeps_prefix(monkeypatch):
     _, _, whitened = _whiten(pts - pts.mean(axis=0), "degenerate")
     monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 3)
     with pytest.raises(ConvergenceError, match=r"^joint path: newton budget 3"):
-        centering._joint_path(whitened, 2, SolverConfig())
+        centering._joint_path(whitened, 2)
 
 
 def test_one_barrier_path():
@@ -223,8 +223,8 @@ def test_joint_center_solve_resumes(case, monkeypatch):
     make, degree = RESUME_CASES[case]
     resumed = []
 
-    def record(shifted, deg, config=None, resume=None):
-        report = solve_min_volume(shifted, deg, config, resume)
+    def record(shifted, deg, tol=1e-8, resume=None):
+        report = solve_min_volume(shifted, deg, tol, resume)
         if resume is not None:
             resumed.append((shifted, resume, report))
         return report
@@ -245,10 +245,10 @@ def test_joint_center_solve_resumes(case, monkeypatch):
 
 @pytest.mark.parametrize("error", [ConvergenceError, NotInConeError])
 def test_resume_failure_falls_back_to_cold(error, monkeypatch):
-    def fail_resumed(shifted, degree, config=None, resume=None):
+    def fail_resumed(shifted, degree, tol=1e-8, resume=None):
         if resume is not None:
             raise error("resumed solve failed")
-        return solve_min_volume(shifted, degree, config)
+        return solve_min_volume(shifted, degree, tol)
 
     monkeypatch.setattr(centering, "solve_min_volume", fail_resumed)
     pts = philox(8).normal(size=(12, 2)) + np.array([1.5, -0.5])
@@ -257,3 +257,17 @@ def test_resume_failure_falls_back_to_cold(error, monkeypatch):
     assert rep.meta["chosen"] == "joint" and rep.meta["fallback"] is None
     assert rep.evaluations == 4         # the failed resume counts
     assert rep.inner.objective == rho_of_center(rep.center, cs, 2)
+
+
+def test_solver_picks_contacts_near_the_optimal_center():
+    # criterion 8's Philox(46) cloud: at its centered optimum, points just
+    # inside the boundary stall the fit on the ACTIVITY_TOL cut; the solver
+    # refits on the tol cut instead of running another solve
+    cloud = philox(46).normal(size=(9, 2)) + np.array([1.0, 0.5])
+    rep = solve_min_volume_centered(ConstraintSet(cloud), 2)
+    assert rep.evaluations == 3
+    assert rep.inner.iterations <= 16
+    fixed = solve_min_volume(ConstraintSet(cloud - rep.center), 2)
+    assert fixed.kkt_residual <= 1e-8
+    assert np.count_nonzero(fixed.multipliers) <= 3
+    assert fixed.volume == pytest.approx(rep.volume, rel=1e-12)

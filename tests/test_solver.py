@@ -7,7 +7,7 @@ import pytest
 
 from conftest import philox, quartic_star, random_cloud, symmetric_cloud
 from homfit import (ConstraintSet, ConvergenceError, DegenerateInputError,
-                    HomogeneousPoly, SolverConfig, build_certificate,
+                    HomogeneousPoly, build_certificate,
                     initial_guess, integral_exp, kkt_residual, moment_vector,
                     objective_grad_hess, solve_min_volume,
                     solve_min_volume_centered, solver)
@@ -162,7 +162,9 @@ def test_warm_start_and_validation(disk4):
     with pytest.raises(ValueError):
         solve_min_volume(disk4, 3)
     with pytest.raises(ValueError):
-        SolverConfig(kkt_tolerance=0.0)
+        solve_min_volume(disk4, 2, tol=0.0)
+    with pytest.raises(ValueError):
+        solve_min_volume_centered(disk4, 2, tol=1.0)
 
 
 def test_iteration_budget_exhaustion(monkeypatch):
@@ -282,18 +284,18 @@ def test_stall_raises_within_two_stages_of_the_gap_bound(monkeypatch):
     rng = philox(3)
     A = rng.normal(size=(2, 2)) + 1.5 * np.eye(2)
     cs = ConstraintSet(rng.normal(size=(25, 2)) @ A)
-    config = SolverConfig(kkt_tolerance=1e-16)
+    tol = 1e-16
     past_gap = []
     stage = solver._newton_stage
 
     def counted(x, t, *args):
         out = stage(x, t, *args)
-        past_gap.append(len(cs) / t <= config.kkt_tolerance * out[2][0])
+        past_gap.append(len(cs) / t <= tol * out[2][0])
         return out
 
     monkeypatch.setattr(solver, "_newton_stage", counted)
     with pytest.raises(ConvergenceError, match="KKT residual stalled"):
-        solve_min_volume(cs, 2, config)
+        solve_min_volume(cs, 2, tol)
     assert 1 <= sum(past_gap) <= 2
 
 
