@@ -21,8 +21,8 @@ from .centering import (CenteredSolveReport, rho_of_center,
 from .constraints import (ConstraintSet, InclusionAudit, KDescription,
                           inclusion_check, to_constraints)
 from .errors import (CertificateError, ConvergenceError, DegenerateInputError,
-                     EmptySetError, HomfitError, InfeasibleError,
-                     NotInConeError, ReductionError)
+                     EmptySetError, HomfitError, NotInConeError,
+                     ReductionError)
 from .integrals import (MomentVector, integral_exp, moment, moment_vector,
                         volume_sublevel)
 from .oracle import EllipsoidOracleResult, mvee_symmetric
@@ -37,7 +37,7 @@ __all__ = [
     "BasisEnumeration", "CenteredSolveReport", "CertificateError",
     "ConstraintSet", "ConvergenceError", "DegenerateInputError",
     "EllipsoidOracleResult", "EmptySetError", "HomfitError",
-    "HomogeneousPoly", "InclusionAudit", "InfeasibleError", "KDescription",
+    "HomogeneousPoly", "InclusionAudit", "KDescription",
     "KktCertificate", "MomentVector", "NotInConeError", "ReductionError",
     "SolveReport", "basis_for", "build_certificate",
     "caratheodory_reduce", "compose_linear", "inclusion_check",

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import ConstraintSet
 from .errors import ConvergenceError, DegenerateInputError, NotInConeError
 from .polynomials import (HomogeneousPoly, basis_for, compose_linear,
                           monomial_partials)
@@ -72,7 +71,7 @@ def _solve_at(cs, a, degree, tol, resume=None):
     Returns (objective, report, solves run), or (+inf, error, solves run)
     when the shifted problem has no solve.
     """
-    shifted = ConstraintSet(cs.points - a, provenance=cs.provenance)
+    shifted = cs.shifted(a)
     starts = [resume, None] if resume is not None else [None]
     for solves, start in enumerate(starts, start=1):
         try:

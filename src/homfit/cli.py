@@ -29,9 +29,9 @@ import numpy as np
 from . import integrals
 from .centering import solve_min_volume_centered
 from .certificate import build_certificate
-from .constraints import ConstraintSet, KDescription, inclusion_check, to_constraints
+from .constraints import KDescription, inclusion_check, to_constraints
 from .errors import (CertificateError, ConvergenceError, DegenerateInputError,
-                     EmptySetError, InfeasibleError, NotInConeError)
+                     EmptySetError, NotInConeError)
 from .oracle import mvee_symmetric
 from .polynomials import _format_key, _hessian_alias, positivity_floor
 from .solver import solve_min_volume
@@ -286,7 +286,7 @@ def run(args):
             report = solve_min_volume(cs, args.degree, args.tol)
             center = np.zeros(k.n)
         try:
-            cert = build_certificate(report, _shifted(cs, center))
+            cert = build_certificate(report, cs.shifted(center))
         except CertificateError:
             cert = None
         audit = inclusion_check(report.g_star, center, k,
@@ -301,7 +301,7 @@ def run(args):
                 "center_stationarity": centered.meta["center_stationarity"],
                 "fallback": centered.meta["fallback"],
             }
-    except (EmptySetError, DegenerateInputError, InfeasibleError) as exc:
+    except (EmptySetError, DegenerateInputError) as exc:
         _emit_error("geometry", str(exc))
         return EXIT_GEOMETRY
     except (ConvergenceError, NotInConeError) as exc:
@@ -324,12 +324,6 @@ def run(args):
     else:
         print(text)
     return EXIT_OK
-
-
-def _shifted(cs, center):
-    if not np.any(center):
-        return cs
-    return ConstraintSet(cs.points - center, provenance=cs.provenance)
 
 
 def _emit_error(kind, message):

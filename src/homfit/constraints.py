@@ -119,6 +119,12 @@ class ConstraintSet:
     def __len__(self):
         return self.points.shape[0]
 
+    def shifted(self, a):
+        """The points moved by -a, same provenance; self when a is zero."""
+        if not np.any(a):
+            return self
+        return ConstraintSet(self.points - a, provenance=self.provenance)
+
     def __repr__(self):
         return f"ConstraintSet({len(self)} points, n={self.n}, {self.provenance!r})"
 

@@ -15,10 +15,6 @@ class DegenerateInputError(HomfitError):
     unbounded in the flat directions."""
 
 
-class InfeasibleError(HomfitError):
-    """No strictly feasible polynomial exists for the constraint set."""
-
-
 class EmptySetError(HomfitError):
     """Sampling found no point of the described set inside its box."""
 

@@ -28,6 +28,12 @@ O(log calls) extra levels per sequence.  A call that stops unconverged at
 MAX_POINTS backs off in the same way.  Every returned value still passed
 the self-check, or is reported unconverged.
 
+The integrator answers one request: whole slices {|a| = k} by even degree
+k (0 is the mass), returned with the factor Gamma((n+k)/d)/d applied.
+The optimizer asks for the mass, the degree-d slice (gradient) and the
+2d slice (Hessian); a single moment is read from its slice, so the
+self-check never scales by a moment that vanishes by symmetry.
+
 g has even degree, so for even |a| the integrand is even and is summed on
 half_sphere_grid (one node per antipodal pair) at half the cost; point
 counts still count the full grid.  Odd moments are exactly zero.
@@ -98,23 +104,20 @@ class MomentVector:
         return self.slice_2d[_hessian_alias(self.n, self.degree)]
 
 
-def _power_tables(n, resolution, exps):
-    """u^a = outer[j, a] * inner[i, a] on the half grid (module docstring)."""
+@lru_cache(maxsize=10)
+def _basis_tables(n, resolution, k):
+    """u^a = outer[j, a] * inner[i, a] on the half grid (module docstring)
+    for every a in basis_for(n, k), cached: the ladder revisits the same
+    grids on every optimizer iteration, and the tables depend only on the
+    grid and the slice degree, never on g."""
+    exps = basis_for(n, k).exponents
     t, _, points, _ = half_grid_factors(n, resolution)
     head, last = exps[:, :points.shape[1]], exps[:, points.shape[1]:].sum(axis=1)
     outer = np.sqrt(1.0 - t * t)[:, None] ** head.sum(axis=1) * t[:, None] ** last
-    return outer, monomial_matrix(points, head)
-
-
-@lru_cache(maxsize=10)
-def _basis_tables(n, resolution, k):
-    """_power_tables of the full degree-k basis, cached: the ladder revisits
-    the same grids on every optimizer iteration, and the tables depend only
-    on the grid and the slice degree, never on g."""
-    tables = _power_tables(n, resolution, basis_for(n, k).exponents)
-    for table in tables:
+    inner = monomial_matrix(points, head)
+    for table in (outer, inner):
         table.setflags(write=False)
-    return tables
+    return outer, inner
 
 
 _workspace = threading.local()
@@ -130,11 +133,13 @@ def _work_arrays(count, rows, cols):
     return _workspace.buf[:size].reshape(count, rows, cols)
 
 
-def _angular_integrals(g, slices, hint=None):
-    """Sphere integrals of u^a * g(u)^(-(n+k)/d) for each (exponents, k) slice,
-    k even (the half rule integrates even integrands only).
+def _angular_integrals(g, degrees, hint=None):
+    """The moment slices of exp(-g) of the even total degrees in `degrees`,
+    ascending; degree 0 is the mass.
 
-    Returns (list of per-slice arrays, info dict).  Doubles the grid from
+    Returns (list of arrays, info dict): the k-slice holds
+    Gamma((n+k)/d)/d times the sphere integral of u^a * g(u)^(-(n+k)/d)
+    for every a in basis_for(n, k), in that order.  Doubles the grid from
     about START_POINTS nodes until two consecutive levels agree within
     TOLERANCE (each slice scaled by its own largest component) or the next
     level would exceed MAX_POINTS.
@@ -163,7 +168,7 @@ def _angular_integrals(g, slices, hint=None):
             )
         totals = []
         last_k = None
-        for exps, k in slices:
+        for k in degrees:
             # a slice d above the last differs by a factor g^{-1}; one real
             # pow, then divisions
             if last_k == k - d:
@@ -171,28 +176,24 @@ def _angular_integrals(g, slices, hint=None):
             else:
                 np.power(gv, -(n + k) / d, out=radial)
             last_k = k
-            if exps.shape[0] == 1 and not exps.any():
+            if k == 0:
                 totals.append(np.array([float(tw @ (radial @ weights))]))
                 continue
-            full = basis_for(n, k).exponents
-            if exps.shape == full.shape and np.array_equal(exps, full):
-                outer, inner = _basis_tables(n, resolution, k)
-            else:
-                outer, inner = _power_tables(n, resolution, exps)
+            outer, inner = _basis_tables(n, resolution, k)
             totals.append(tw @ (np.multiply(radial, weights, out=weighted) @ inner * outer))
         return totals, 2 * tw.size * weights.size
 
-    if n == 1:
-        totals, count = level(2)
-        return totals, {"points": count, "converged": True, "last_delta": 0.0}
-
     def slicewise_ok(cur, prev):
-        worst = 0.0
-        for a, b in zip(cur, prev):
-            gap = float(np.max(np.abs(a - b))) if a.size else 0.0
-            scale = max(float(np.max(np.abs(a))) if a.size else 0.0, 1e-300)
-            worst = max(worst, gap / scale)
+        worst = max(float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(a))), 1e-300)
+                    for a, b in zip(cur, prev))
         return worst <= TOLERANCE, worst
+
+    def result(totals, count, converged, delta):
+        scaled = [math.gamma((n + k) / d) / d * total for k, total in zip(degrees, totals)]
+        return scaled, {"points": count, "converged": converged, "last_delta": delta}
+
+    if n == 1:
+        return result(*level(2), True, 0.0)
 
     base = resolution_for_budget(n, START_POINTS)
     res = base
@@ -217,26 +218,19 @@ def _angular_integrals(g, slices, hint=None):
             if ok:
                 if hint is not None:
                     hint["res"] = res
-                return totals, {"points": count, "converged": True,
-                                "last_delta": delta}
+                return result(totals, count, True, delta)
         prev = totals
         if grid_size(n, res * 2) > MAX_POINTS:
             if hint is not None:
                 hint["res"] = res
-            return totals, {"points": count, "converged": False,
-                            "last_delta": delta}
+            return result(totals, count, False, delta)
         res *= 2
-
-
-def _radial_factor(n, d, k):
-    return math.gamma((n + k) / d) / d
 
 
 def integral_exp(g, hint=None):
     """Total mass Integral exp(-g(x)) dx over R^n."""
-    zero = np.zeros((1, g.n), dtype=np.int64)
-    totals, _ = _angular_integrals(g, [(zero, 0)], hint=hint)
-    return _radial_factor(g.n, g.degree, 0) * float(totals[0][0])
+    totals, _ = _angular_integrals(g, [0], hint=hint)
+    return float(totals[0][0])
 
 
 def volume_sublevel(g, y):
@@ -254,15 +248,16 @@ def volume_sublevel(g, y):
 
 
 def moment(g, alpha):
-    """Single moment Integral x^alpha exp(-g) dx for any multi-index."""
+    """Single moment Integral x^alpha exp(-g) dx for any multi-index, read
+    from the whole slice of degree |alpha|."""
     alpha = _parse_key(alpha)
     if len(alpha) != g.n:
         raise ValueError("multi-index dimension mismatch")
     k = sum(alpha)
     if k % 2:
         return 0.0      # odd integrand on a symmetric domain
-    totals, _ = _angular_integrals(g, [(np.array([alpha], dtype=np.int64), k)])
-    return _radial_factor(g.n, g.degree, k) * float(totals[0][0])
+    totals, _ = _angular_integrals(g, [k])
+    return float(totals[0][basis_for(g.n, k).index_of(alpha)])
 
 
 def moment_vector(g, include_2d=False, hint=None):
@@ -273,15 +268,9 @@ def moment_vector(g, include_2d=False, hint=None):
     exponent addition).  `hint` as in the angular integrator: a mutable
     dict, the ladder's memory between calls on similar integrands.
     """
-    n, d = g.n, g.degree
-    slices = [(np.zeros((1, n), dtype=np.int64), 0),
-              (basis_for(n, d).exponents, d)]
-    if include_2d:
-        slices.append((basis_for(n, 2 * d).exponents, 2 * d))
-    totals, info = _angular_integrals(g, slices, hint=hint)
-
-    y0 = _radial_factor(n, d, 0) * float(totals[0][0])
-    slice_2d = _radial_factor(n, d, 2 * d) * totals[2] if include_2d else None
-    return MomentVector(n=n, degree=d, y0=y0,
-                        slice_d=_radial_factor(n, d, d) * totals[1],
-                        slice_2d=slice_2d, quadrature_info=info)
+    d = g.degree
+    totals, info = _angular_integrals(g, [0, d, 2 * d] if include_2d else [0, d],
+                                      hint=hint)
+    return MomentVector(n=g.n, degree=d, y0=float(totals[0][0]), slice_d=totals[1],
+                        slice_2d=totals[2] if include_2d else None,
+                        quadrature_info=info)

@@ -365,7 +365,7 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
     hint_phi = {}     # separate ladder memory: phi needs only the mass slice
     kept = {}         # last full objective Hessian, last fused trial's moments
 
-    def derivatives(x, t, reuse=False):
+    def derivatives(x, t, reuse):
         if reuse:       # x is the last fused trial (_newton_stage)
             mv = kept["moments"]
             y0, grad_f, hess_f = mv.y0, -mv.slice_d, kept["hess_f"]
@@ -388,7 +388,7 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
         phi = t * y0 - float(np.sum(np.log(s)))
         return y0, phi, grad, hess, s, D, mv
 
-    def barrier_value(x, t, fuse=False):
+    def barrier_value(x, t, fuse):
         s = slacks(x)
         if np.any(s <= 0.0):
             return np.inf
@@ -424,22 +424,22 @@ def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None,
                   chord=False):
     """Damped Newton on one barrier function Phi_t, from x.
 
-    derivatives(x, t) returns (y0, Phi_t(x), gradient, Hessian, ...) and
-    barrier_value(x, t) returns Phi_t(x), or +inf outside the domain.
-    With chord (convex paths, n >= 3, where loose is given) both take a
-    third argument: barrier_value(x, t, True) also keeps the gradient
-    moments at x, and derivatives(x, t, True) at that accepted trial x
-    returns its exact gradient with the objective Hessian of the last full
-    evaluation (module docstring); a step keeps it only where loose(t, y0)
-    holds, after a full step, for at most CHORD_REUSES steps, and while the
-    decrement falls below CHORD_DECREMENT times the last one.  An
-    indefinite Hessian is made positive definite by the escalating ridge
+    derivatives(x, t, False) returns (y0, Phi_t(x), gradient, Hessian, ...)
+    and barrier_value(x, t, False) returns Phi_t(x), or +inf outside the
+    domain.  With chord (convex paths, n >= 3, where loose is given) the
+    third argument may be True: barrier_value(x, t, True) also keeps the
+    gradient moments at x, and derivatives(x, t, True) at that accepted
+    trial x returns its exact gradient with the objective Hessian of the
+    last full evaluation (module docstring); a step keeps it only where
+    loose(t, y0) holds, after a full step, for at most CHORD_REUSES steps,
+    and while the decrement falls below CHORD_DECREMENT times the last one.
+    An indefinite Hessian is made positive definite by the escalating ridge
     of _newton_step, so every step is a descent direction.  Stops on the
     scale-aware decrement test, at decrement LOOSE_DECREMENT where
     loose(t, y0), given on convex paths, holds at the current x (module
-    docstring), after six steps that fail to halve the decrement (a
-    convex path's damped-phase steps excepted), when the line search finds
-    no Armijo point above Phi_t's rounding (module docstring), or after
+    docstring), after six steps that fail to halve the decrement (a convex
+    path's damped-phase steps excepted), when the line search finds no
+    Armijo point above Phi_t's rounding (module docstring), or after
     `budget` steps: what is left (>= 1) of the barrier path's Newton
     budget.
 
@@ -448,7 +448,7 @@ def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None,
     best_dec2, stall, steps = np.inf, 0, 0
     reuse, reused, last_dec2 = False, 0, np.inf
     for _ in range(budget):
-        state = derivatives(x, t, reuse) if chord else derivatives(x, t)
+        state = derivatives(x, t, reuse)
         y0, phi0, grad, hess = state[:4]
         step = _newton_step(hess, grad)
         dec2 = float(-grad @ step)
@@ -474,8 +474,7 @@ def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None,
         accepted = False
         while alpha > 1e-14 and alpha * dec2 > floor:
             trial = x + alpha * step
-            phi = (barrier_value(trial, t, reuse) if chord
-                   else barrier_value(trial, t))
+            phi = barrier_value(trial, t, reuse)
             if np.isfinite(phi) and phi <= phi0 + alpha * armijo:
                 x = trial
                 accepted = True
@@ -485,7 +484,7 @@ def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None,
         if not accepted:
             break
     else:       # budget spent on an accepted step: state is for the old x
-        state = derivatives(x, t)
+        state = derivatives(x, t, False)
     return x, steps, state
 
 

@@ -65,13 +65,10 @@ def _box_estimate(g, y, alpha, budget, seed):
                     std_error=box_vol * math.sqrt(var / budget))
 
 
-def mc_volume(g, center=None, y=1.0, budget=1_000_000, seed=0):
-    """Monte-Carlo volume of {x : g(x - center) <= y}.
-
-    A translation does not change the volume, so the samples are drawn in
-    g's own frame and `center` does not enter the estimate.  Zero at
-    y = 0, ValueError for y < 0, NotInConeError unless g > 0 on the
-    sphere.
+def mc_volume(g, y=1.0, budget=1_000_000, seed=0):
+    """Monte-Carlo volume of {x : g(x) <= y}, which a translation of the
+    set does not change.  Zero at y = 0, ValueError for y < 0,
+    NotInConeError unless g > 0 on the sphere.
     """
     if y < 0:
         raise ValueError("level y must be nonnegative")

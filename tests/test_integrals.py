@@ -242,19 +242,15 @@ def test_crosscheck_levelset_moments():
 @pytest.mark.parametrize("d", [2, 4, 6])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_factorised_level_matches_flat_sum(n, d, monkeypatch):
-    # reference: the plain sum of w * f over every node of the half grid,
-    # f = u^a g(u)^(-(n+|a|)/d); the ladder contracts one axis at a time.
-    # Both evaluate g in the monomial basis, which loses kappa * eps,
+    # reference: Gamma((n+k)/d)/d times the plain sum of w * f over every
+    # node of the half grid, f = u^a g(u)^(-(n+k)/d) for a in the k-slice;
+    # the ladder contracts one axis at a time.  Both evaluate g in the
+    # monomial basis, which loses kappa * eps,
     # kappa = max sum_a |g_a u^a| / g(u); 1e-12 presumes kappa < 1e4.
     rng = philox(500 + 10 * n + d)
     M = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
     g = compose_linear(HomogeneousPoly.sum_of_powers(n, d), M)
-    single = np.zeros((1, n), dtype=np.int64)
-    single[0, 0] += 2
-    single[0, -1] += d - 2
-    slices = [(np.zeros((1, n), dtype=np.int64), 0),
-              (basis_for(n, d).exponents, d),
-              (basis_for(n, 2 * d).exponents, 2 * d)]
+    degrees = [0, d, 2 * d]
     for res in (6, 12):
         # a cap at the first level pins the ladder to resolution res
         monkeypatch.setattr(integrals, "START_POINTS", grid_size(n, res))
@@ -263,13 +259,13 @@ def test_factorised_level_matches_flat_sum(n, d, monkeypatch):
         gv = g(points)
         terms = monomial_matrix(points, basis_for(n, d).exponents) * g.coeff_vector
         assert np.max(np.abs(terms).sum(axis=1) / gv) < 1e4
-        for group in (slices, [(single, d)]):
-            totals, info = _angular_integrals(g, group)
-            assert info["points"] == grid_size(n, res)
-            for (exps, k), got in zip(group, totals):
-                f = (gv ** (-(n + k) / d))[:, None] * monomial_matrix(points, exps)
-                gap = np.abs(got - weights @ f)
-                assert np.all(gap <= 1e-12 * (weights @ np.abs(f)))
+        totals, info = _angular_integrals(g, degrees)
+        assert info["points"] == grid_size(n, res)
+        for k, got in zip(degrees, totals):
+            f = (math.gamma((n + k) / d) / d * (gv ** (-(n + k) / d))[:, None]
+                 * monomial_matrix(points, basis_for(n, k).exponents))
+            gap = np.abs(got - weights @ f)
+            assert np.all(gap <= 1e-12 * (weights @ np.abs(f)))
 
 
 @pytest.mark.parametrize("n,d", [(2, 4), (3, 4), (4, 2)])
@@ -279,22 +275,43 @@ def test_level_on_work_arrays_matches_fresh_arrays(n, d, monkeypatch):
     rng = philox(700 + 10 * n + d)
     g = compose_linear(HomogeneousPoly.sum_of_powers(n, d),
                        rng.normal(size=(n, n)) + 3.0 * np.eye(n))
-    slices = [(np.zeros((1, n), dtype=np.int64), 0),
-              (basis_for(n, d).exponents, d),
-              (basis_for(n, 2 * d).exponents, 2 * d)]
+    degrees = [0, d, 2 * d]
     for res in (16, 32):
         monkeypatch.setattr(integrals, "START_POINTS", grid_size(n, res))
         monkeypatch.setattr(integrals, "MAX_POINTS", grid_size(n, res))
-        totals, _ = _angular_integrals(g, slices)
+        totals, _ = _angular_integrals(g, degrees)
         _, tw, _, weights = half_grid_factors(n, res)
         outer, inner = _basis_tables(n, res, d)
         gv = (outer * g.coeff_vector) @ inner.T
         radial = gv ** (-n / d)
-        assert np.array_equal(totals[0], [float(tw @ (radial @ weights))])
-        for (_, k), got in zip(slices[1:], totals[1:]):
+        mass = math.gamma(n / d) / d * float(tw @ (radial @ weights))
+        assert np.array_equal(totals[0], [mass])
+        for k, got in zip(degrees[1:], totals[1:]):
             radial = radial / gv
             outer, inner = _basis_tables(n, res, k)
-            assert np.array_equal(got, tw @ ((radial * weights) @ inner * outer))
+            factor = math.gamma((n + k) / d) / d
+            assert np.array_equal(got, factor * (tw @ ((radial * weights) @ inner * outer)))
+
+
+def test_vanishing_moment_converges_on_its_slice(monkeypatch):
+    # I_(1,1,2) of x^4 + y^4 + z^4 + 0.3 x^2 y^2 is zero by symmetry; the
+    # ladder's self-check scales by the largest moment of the whole
+    # degree-4 slice, so it converges instead of climbing to the cap
+    g = HomogeneousPoly(3, 4, {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0,
+                               (2, 2, 0): 0.3})
+    infos = []
+    ladder = integrals._angular_integrals
+
+    def recorded(*args, **kwargs):
+        totals, info = ladder(*args, **kwargs)
+        infos.append(info)
+        return totals, info
+
+    monkeypatch.setattr(integrals, "_angular_integrals", recorded)
+    value = moment(g, (1, 1, 2))
+    assert len(infos) == 1
+    assert infos[0]["converged"] and infos[0]["points"] <= 18432
+    assert abs(value) <= 1e-10 * moment(g, (2, 2, 0))
 
 
 def test_cap_level_memory():

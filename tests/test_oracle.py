@@ -141,13 +141,6 @@ def test_mc_volume_scaling_law():
     assert abs(ratio - expected) <= 3.0 * sigma
 
 
-def test_mc_volume_center_shift():
-    g = HomogeneousPoly(2, 2, {(2, 0): 1.0, (0, 2): 1.0})
-    a = mc_volume(g, budget=200_000, seed=5)
-    b = mc_volume(g, center=[10.0, -3.0], budget=200_000, seed=5)
-    assert a.estimate == pytest.approx(b.estimate, rel=0.0, abs=0.0)
-
-
 def test_mc_volume_not_in_cone():
     bad = HomogeneousPoly(2, 2, {(2, 0): 1.0, (0, 2): -1.0})
     with pytest.raises(NotInConeError):

@@ -308,10 +308,10 @@ def test_line_search_stops_at_phi_rounding():
     phi0 = 1.0
     calls = []
 
-    def derivatives(x, t):
+    def derivatives(x, t, reuse):
         return 1e-8, phi0, x - 5.5e-8, np.eye(1)
 
-    def barrier_value(x, t):
+    def barrier_value(x, t, fuse):
         calls.append(x)
         return phi0 + 2 * np.spacing(phi0)
 
