@@ -7,11 +7,12 @@ contact points on {g* = 1}:
     Integral x^a exp(-g*) dx  =  sum_j lambda_j x_j^a,   |a| = d,
 
 with total mass (n/d) * Integral exp(-g*).  Anyone can recheck these
-identities.  This script builds the certificate for an 8-point circle
-instance, thins it by Caratheodory pivoting, then thins the 2000 contacts
-of a quartic star the same way, where the atoms are first merged into
-blocks and the blocks pivoted.  It closes with the d-ball case where the
-right side is a product of 1-D integrals in closed form.
+identities.  The solver fits its multipliers by nonnegative least
+squares, whose answer is basic, so at most C(n+d-1, d) contacts carry
+weight (Caratheodory) with no second pass.  This script prints the
+certificate of an 8-point circle instance and of a quartic star with 2000
+contact points, each against that bound, and closes with the d-ball case
+where the right side is a product of 1-D integrals in closed form.
 """
 
 import math
@@ -28,16 +29,13 @@ octagon = ConstraintSet([[1, 0], [0, 1], [-1, 0], [0, -1],
 
 rep = solve_min_volume(octagon, 2)
 print("== eight points on the unit circle, degree 2 ==")
-raw = build_certificate(rep, octagon, reduce_atoms=False)
-print(f"all contacts kept: {len(raw.weights)} atoms, "
-      f"moment residual {raw.moment_residual:.2e}")
+cert = build_certificate(rep, octagon)
+print(f"{len(octagon)} contacts, {len(cert.weights)} atoms "
+      f"(bound C(n+d-1,d) = {cert.atom_bound}), "
+      f"moment residual {cert.moment_residual:.2e}")
+print(f"mass {cert.mass:.9f} vs expected (n/d)*I_0 = {cert.mass_expected:.9f}")
 
-red = build_certificate(rep, octagon)
-print(f"after reduction:   {len(red.weights)} atoms "
-      f"(bound C(n+d-1,d) = {red.atom_bound}), residual {red.moment_residual:.2e}")
-print(f"mass {red.mass:.9f} vs expected (n/d)*I_0 = {red.mass_expected:.9f}")
-
-M_atoms = contact_moment_matrix(red.contact_points, red.weights, 2, 1)
+M_atoms = contact_moment_matrix(cert.contact_points, cert.weights, 2, 1)
 M_cont = gaussian_moment_matrix(rep.g_star)
 print("atomic vs continuous moment matrix, entrywise gap "
       f"{np.max(np.abs(M_atoms - M_cont)):.2e}")
@@ -50,8 +48,8 @@ units = np.column_stack([np.cos(theta), np.sin(theta)])
 star_pts = ConstraintSet(units * (star(units) ** -0.25)[:, None])
 rep = solve_min_volume(star_pts, 4)
 cert = build_certificate(rep, star_pts)
-print(f"{np.count_nonzero(rep.multipliers)} contacts merged into blocks and "
-      f"pivoted down to {len(cert.weights)} atoms (bound {cert.atom_bound})")
+print(f"{len(star_pts)} contacts, {len(cert.weights)} atoms "
+      f"(bound {cert.atom_bound})")
 print(f"moment residual / I_0 {cert.moment_residual / cert.meta['y0']:.2e}, "
       f"mass {cert.mass:.9f} vs expected {cert.mass_expected:.9f}")
 
@@ -64,7 +62,7 @@ rep = solve_min_volume(ball_pts, 4)
 ball = HomogeneousPoly.sum_of_powers(2, 4)
 print("optimum is x^4 + y^4 itself (coefficient deviation "
       f"{np.max(np.abs(rep.g_star.coeff_vector - ball.coeff_vector)):.2e})")
-cert = build_certificate(rep, ball_pts, reduce_atoms=False)
+cert = build_certificate(rep, ball_pts)
 # Integral_R t^k exp(-t^4) dt: 2 Gamma((k+1)/4) / 4 for even k, 0 for odd
 axis = np.array([0.0 if k % 2 else math.gamma((k + 1) / 4) / 2 for k in range(5)])
 basis = basis_for(2, 4)

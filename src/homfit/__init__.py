@@ -14,15 +14,13 @@ that are independent of the solver live in homfit.verify, which this
 package does not import.
 """
 
-from .certificate import (KktCertificate, build_certificate,
-                          caratheodory_reduce)
+from .certificate import KktCertificate, build_certificate
 from .centering import (CenteredSolveReport, rho_of_center,
                         solve_min_volume_centered)
 from .constraints import (ConstraintSet, InclusionAudit, KDescription,
                           inclusion_check, to_constraints)
 from .errors import (CertificateError, ConvergenceError, DegenerateInputError,
-                     EmptySetError, HomfitError, NotInConeError,
-                     ReductionError)
+                     EmptySetError, HomfitError, NotInConeError)
 from .integrals import (MomentVector, integral_exp, moment, moment_vector,
                         volume_sublevel)
 from .oracle import EllipsoidOracleResult, mvee_symmetric
@@ -38,9 +36,8 @@ __all__ = [
     "ConstraintSet", "ConvergenceError", "DegenerateInputError",
     "EllipsoidOracleResult", "EmptySetError", "HomfitError",
     "HomogeneousPoly", "InclusionAudit", "KDescription",
-    "KktCertificate", "MomentVector", "NotInConeError", "ReductionError",
-    "SolveReport", "basis_for", "build_certificate",
-    "caratheodory_reduce", "compose_linear", "inclusion_check",
+    "KktCertificate", "MomentVector", "NotInConeError", "SolveReport",
+    "basis_for", "build_certificate", "compose_linear", "inclusion_check",
     "initial_guess", "integral_exp", "kkt_residual", "min_on_sphere",
     "moment", "moment_vector", "mvee_symmetric", "objective_grad_hess",
     "rho_of_center", "solve_min_volume", "solve_min_volume_centered",

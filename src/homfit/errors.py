@@ -26,6 +26,3 @@ class ConvergenceError(HomfitError):
 class CertificateError(HomfitError):
     """A certificate could not be assembled from the solve report."""
 
-
-class ReductionError(CertificateError):
-    """Atom reduction could not find a usable null vector."""

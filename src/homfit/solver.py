@@ -14,15 +14,19 @@ Algorithm: log-barrier path following.  For increasing t, minimize
 by damped Newton steps (Cholesky with escalating ridge, Armijo
 backtracking that rejects steps leaving the positivity cone), then grow
 t by a fixed factor until the duality-gap bound m/t is below tolerance.
-Barrier multipliers 1/(t*(1-g(x_i))) are then polished by a least-squares
-fit of the contact columns to the degree-d moment vector.  The solver
-picks the contacts itself, in at most two cuts: the points with slack
-<= ACTIVITY_TOL, and, only if that fit misses the tolerance tol, the
-points with slack <= tol, whose fit ignores points just inside the
-boundary (one more least-squares fit, not one more solve).  The first fit
-that meets tol is taken.  While neither does the path goes on, but only
-as long as each stage at least halves the smaller residual of the two; a
-stage that does not ends the solve with a "stalled" ConvergenceError.
+Barrier multipliers 1/(t*(1-g(x_i))) are then polished by a nonnegative
+least-squares fit (_nnls) of the contact columns to the degree-d moment
+vector; its answer is basic, so at most C(n+d-1, d) weights are positive,
+the paper's contact bound.  The solver picks the contacts itself, in at
+most two cuts: the points with slack <= ACTIVITY_TOL, and, only if that
+fit misses the tolerance tol, the points with slack <= tol (one more fit,
+not one more solve).  A tol below ACTIVITY_TOL drops points just inside
+the boundary; a tol above it takes in the contacts of a loose solve, whose
+yielding t is so small that their slacks, about 1/(t lambda_i), exceed
+ACTIVITY_TOL.  The first fit that meets tol is taken.  While neither does
+the path goes on, but only as long as each stage at least halves the
+smaller residual of the two; a stage that does not ends the solve with a
+"stalled" ConvergenceError.
 
 The barrier path (_barrier_path) and the whitening (_whiten) are shared
 with the centered fit, whose slacks 1 - g(x_i - a) also depend on a
@@ -199,26 +203,63 @@ def kkt_residual(g, multipliers, cs):
 
 
 def _polish_multipliers(V, slack, yd, cut):
-    """Least-squares fit of the contact columns, slack <= cut, to the
-    moment vector.
-
-    Minimum-norm solution first (symmetric data gets symmetric weights);
-    if any weight comes out negative beyond roundoff, refit with a
-    nonnegativity constraint.  Returns the dense lambda, zero off the
-    contacts.
-    """
+    """Nonnegative least-squares fit of the contact columns, slack <= cut,
+    to the moment vector.  Returns the dense lambda, zero off the contacts,
+    with at most rank(V) <= C(n+d-1, d) positive entries (_nnls)."""
     active = np.flatnonzero(slack <= cut)
     lam = np.zeros(V.shape[0])
-    if active.size == 0:
-        return lam
-    A = V[active].T
-    fit, *_ = np.linalg.lstsq(A, yd, rcond=None)
-    floor = -1e-10 * max(float(np.max(np.abs(fit))), 1.0)
-    if np.any(fit < floor):
-        from scipy.optimize import nnls
-        fit, _ = nnls(A, yd)
-    lam[active] = np.clip(fit, 0.0, None)
+    if active.size:
+        lam[active] = _nnls(V[active].T, yd)
     return lam
+
+
+def _nnls(A, b):
+    """argmin |A x - b| over x >= 0 by the active-set method of Lawson and
+    Hanson (Solving Least Squares Problems, 1974, ch. 23), numpy only.
+
+    Column a_j may enter the passive set only if its part o_j outside the
+    passive columns' span is longer than numpy's rank cut max(A.shape) eps
+    |A|_2 (with |A|_F for |A|_2), so the passive columns stay independent:
+    the answer is basic, with at most rank(A) positive weights
+    (Caratheodory), and twin columns, such as the monomials of x and -x at
+    even degree, never both carry weight.  Of those columns, the one with
+    the largest dual o_j^T r, r = b - A x, enters if its dual is above
+    roundoff, 10 eps (|b| |o_j| + |r| |a_j|); the fit stops when none is,
+    or when lstsq gives the entering column no positive weight after all.
+    """
+    x = np.zeros(A.shape[1])
+    passive = np.zeros(A.shape[1], dtype=bool)
+    norms = np.linalg.norm(A, axis=0)
+    eps = np.finfo(float).eps
+    cut = max(A.shape) * eps * float(np.linalg.norm(norms))
+    b_norm = float(np.linalg.norm(b))
+    for _ in range(3 * A.shape[1]):
+        r = b - A @ x
+        q = np.linalg.qr(A[:, passive])[0]
+        outside = A - q @ (q.T @ A)
+        size = np.sqrt(np.einsum("ij,ij->j", outside, outside))
+        dual = outside.T @ r
+        roundoff = 10.0 * eps * (b_norm * size + np.sqrt(r @ r) * norms)
+        dual[passive | (size <= cut) | (dual <= roundoff)] = -np.inf
+        j = int(np.argmax(dual))
+        if dual[j] == -np.inf:
+            break
+        passive[j] = True
+        z = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+        if z[np.count_nonzero(passive[:j])] <= 0.0:
+            break
+        while np.any(z <= 0.0):     # step back to the first weight that hits 0
+            old = x[passive]
+            ratio = np.where(z <= 0.0, old / np.maximum(old - z, 1e-300),
+                             np.inf)
+            hit = int(np.argmin(ratio))
+            x[passive] = old + ratio[hit] * (z - old)
+            x[np.flatnonzero(passive)[hit]] = 0.0
+            passive &= x > 0.0
+            z = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+        x[:] = 0.0
+        x[passive] = z
+    return x
 
 
 def _whiten(points, message):
@@ -284,7 +325,7 @@ def solve_min_volume(cs, degree, tol=1e-8, resume=None):
         s = 1.0 - V @ vec
         return (s, V, None) if jacobian else s
 
-    cuts = (ACTIVITY_TOL, tol) if tol < ACTIVITY_TOL else (ACTIVITY_TOL,)
+    cuts = (ACTIVITY_TOL,) if tol == ACTIVITY_TOL else (ACTIVITY_TOL, tol)
     res = np.inf
     path = _barrier_path(gvec, n, degree, slacks, tol, t0,
                          context=lambda: f" (last residual {res:.3e})")

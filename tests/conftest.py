@@ -120,7 +120,7 @@ def dball_contact_check(cs, degree):
             f"optimal polynomial deviates from the d-ball by {dev:.3e}; "
             f"the separable identity does not apply"
         )
-    cert = hf.build_certificate(report, cs, reduce_atoms=False)
+    cert = hf.build_certificate(report, cs)
     pts, w = cert.contact_points, cert.weights
     basis = hf.basis_for(n, degree)
     axis = np.array([axis_moment_1d(k, degree) for k in range(degree + 1)])

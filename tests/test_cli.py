@@ -213,13 +213,17 @@ def test_spatial_cloud_at_default_tolerances(tmp_path):
 
 def test_import_does_not_load_scipy():
     # scipy is imported inside the functions that need it, which keeps
-    # the command's start-up short
+    # the command's start-up short; a fixed-center solve and its
+    # certificate need none of them
     src = str(Path(homfit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, homfit; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
-        env=env, capture_output=True, text=True, check=True)
+    script = (
+        "import sys, homfit\n"
+        "cs = homfit.ConstraintSet([[1, 0], [0, 1], [-1, 0], [0, -1]])\n"
+        "homfit.build_certificate(homfit.solve_min_volume(cs, 2), cs)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 

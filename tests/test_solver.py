@@ -27,11 +27,12 @@ def test_disk_four_points(disk4):
     assert rep.g_star.coeff((1, 1)) == pytest.approx(0.0, abs=1e-7)
     assert rep.objective == pytest.approx(PI, rel=1e-7)
     assert rep.volume == pytest.approx(PI, rel=1e-7)
-    # all four contacts active with equal weight pi/4
+    # at most C(3, 2) of the four contacts carry weight, in total
+    # (n/d) * pi = pi
     assert rep.multipliers.shape == (4,)
-    assert np.flatnonzero(rep.multipliers).tolist() == [0, 1, 2, 3]
-    for w in rep.multipliers:
-        assert w == pytest.approx(PI / 4.0, rel=1e-6)
+    assert 0 < np.count_nonzero(rep.multipliers) <= 3
+    assert np.all(rep.multipliers >= 0.0)
+    assert rep.multipliers.sum() == pytest.approx(PI, rel=1e-6)
     assert rep.kkt_residual <= 1e-8
 
 
@@ -384,3 +385,22 @@ def test_inaccurate_user_frame_fails_closed():
     cs = ConstraintSet(symmetric_cloud(2, n=2, m=100))
     with pytest.raises(ConvergenceError, match="frame change"):
         solve_min_volume(cs, 8)
+
+
+LOOSE_CASES = {"star_d4": (quartic_star()[1], 4),
+               "cloud2_d2": (symmetric_cloud(2, n=2, m=100), 2),
+               "cloud3_d2": (symmetric_cloud(3, n=3, m=30), 2)}
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("case", sorted(LOOSE_CASES))
+def test_loose_tolerance_returns(case, tol):
+    # the yielding stage of a loose solve has t so small that no slack is
+    # <= ACTIVITY_TOL; the second cut, tol, finds the contacts (these
+    # raised "KKT residual stalled" at tol >= 1e-4 or 1e-3)
+    pts, degree = LOOSE_CASES[case]
+    cs = ConstraintSet(pts)
+    rep = solve_min_volume(cs, degree, tol=tol)
+    assert rep.kkt_residual <= tol
+    tight = solve_min_volume(cs, degree)
+    assert abs(rep.volume - tight.volume) <= tol * tight.volume
