@@ -15,8 +15,7 @@ package does not import.
 """
 
 from .certificate import KktCertificate, build_certificate
-from .centering import (CenteredSolveReport, rho_of_center,
-                        solve_min_volume_centered)
+from .centering import CenteredSolveReport, solve_min_volume_centered
 from .constraints import (ConstraintSet, InclusionAudit, KDescription,
                           inclusion_check, to_constraints)
 from .errors import (CertificateError, ConvergenceError, DegenerateInputError,
@@ -26,8 +25,7 @@ from .integrals import (MomentVector, integral_exp, moment, moment_vector,
 from .oracle import EllipsoidOracleResult, mvee_symmetric
 from .polynomials import (BasisEnumeration, HomogeneousPoly, basis_for,
                           compose_linear, min_on_sphere)
-from .solver import (SolveReport, initial_guess, kkt_residual,
-                     objective_grad_hess, solve_min_volume)
+from .solver import SolveReport, initial_guess, solve_min_volume
 
 __version__ = "0.1.0"
 
@@ -38,8 +36,7 @@ __all__ = [
     "HomogeneousPoly", "InclusionAudit", "KDescription",
     "KktCertificate", "MomentVector", "NotInConeError", "SolveReport",
     "basis_for", "build_certificate", "compose_linear", "inclusion_check",
-    "initial_guess", "integral_exp", "kkt_residual", "min_on_sphere",
-    "moment", "moment_vector", "mvee_symmetric", "objective_grad_hess",
-    "rho_of_center", "solve_min_volume", "solve_min_volume_centered",
-    "to_constraints", "volume_sublevel",
+    "initial_guess", "integral_exp", "min_on_sphere", "moment",
+    "moment_vector", "mvee_symmetric", "solve_min_volume",
+    "solve_min_volume_centered", "to_constraints", "volume_sublevel",
 ]

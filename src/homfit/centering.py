@@ -34,7 +34,7 @@ from .solver import (BARRIER_MULTIPLIER, BARRIER_T0, SolveReport,
                      _barrier_path, _check_tolerance, _whiten, initial_guess,
                      solve_min_volume)
 
-__all__ = ["CenteredSolveReport", "solve_min_volume_centered", "rho_of_center"]
+__all__ = ["CenteredSolveReport", "solve_min_volume_centered"]
 
 
 @dataclass
@@ -93,15 +93,6 @@ def _resume_point(g_w, t, W, L, z):
     return compose_linear(g_w, W), BARRIER_T0 * BARRIER_MULTIPLIER ** max(k, 0)
 
 
-def rho_of_center(a, cs, degree, tol=1e-8):
-    """Optimal objective Integral exp(-g*) for the points shifted by -a.
-
-    +inf when the shifted problem is degenerate or the solve fails.
-    """
-    value, _, _ = _solve_at(cs, np.asarray(a, dtype=float), degree, tol)
-    return value
-
-
 def _joint_path(points, degree, tol=1e-8):
     """Log-barrier Newton path in (g, a) for whitened points whose
     centroid is the origin, starting at a = 0.
@@ -113,27 +104,27 @@ def _joint_path(points, degree, tol=1e-8):
     n = points.shape[1]
     basis = basis_for(n, degree)
     size = len(basis)
+    J, L = np.triu_indices(n)
+    jet = [()] + [(j,) for j in range(n)] + list(zip(J, L))
 
     def slacks(x, jacobian=False):
         g, z = HomogeneousPoly(n, degree, x[:size]), points - x[size:]
         if not jacobian:
             return 1.0 - g(z)
-        M = basis.monomials(z)
-        dM = [monomial_partials(z, basis.exponents, (j,)) for j in range(n)]
+        # m(z), dm/dz_j and d2m/dz_j dz_l (j <= l) from one set of power tables
+        partials = monomial_partials(z, basis.exponents, jet)
+        M, dM = partials[:, 0], partials[:, 1:n + 1]
         s = 1.0 - M @ g.coeff_vector
         inv = 1.0 / s
         # minus sum_i (second derivative of s_i) / s_i: the g-a block of
         # d2s is +dm/dz, the a-a block is -hess g
         curvature = np.zeros((size + n, size + n))
-        for j in range(n):
-            curvature[:size, size + j] = -(inv @ dM[j])
-            for l in range(j, n):
-                hess_jl = monomial_partials(z, basis.exponents, (j, l)) @ g.coeff_vector
-                curvature[size + j, size + l] = curvature[size + l, size + j] = inv @ hess_jl
+        curvature[:size, size:] = -np.tensordot(inv, dM, 1).T
         curvature[size:, :size] = curvature[:size, size:].T
+        hess_g = inv @ (partials[:, n + 1:] @ g.coeff_vector)
+        curvature[size + J, size + L] = curvature[size + L, size + J] = hess_g
         # -ds/d(g, a): row i is (m(z_i), -grad g(z_i))
-        grad_g = np.column_stack([dMj @ g.coeff_vector for dMj in dM])
-        return s, np.hstack([M, -grad_g]), curvature
+        return s, np.hstack([M, -(dM @ g.coeff_vector)]), curvature
 
     x = np.concatenate([initial_guess(points, degree).coeff_vector,
                         np.zeros(n)])

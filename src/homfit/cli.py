@@ -105,21 +105,25 @@ def load_description(path):
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad semialgebraic description: {exc}") from exc
         raise ValueError("JSON input needs 'points' or 'semialgebraic'")
-    rows = []
+    lines = []
     for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
         cells = [c.strip() for c in row if c.strip()]
-        if not cells:
-            continue
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
-    if not rows:
+        if cells:
+            lines.append((lineno, cells))
+    try:
+        values = np.array([c for _, cells in lines for c in cells], dtype=float)
+    except ValueError:
+        for lineno, cells in lines:     # name the first line that fails
+            try:
+                np.array(cells, dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
+    if not lines:
         raise ValueError(f"{path}: no points found")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    width = len(lines[0][1])
+    if any(len(cells) != width for _, cells in lines):
         raise ValueError(f"{path}: rows have inconsistent dimension")
-    return KDescription.from_points(rows)
+    return KDescription.from_points(values.reshape(len(lines), width))
 
 
 def _q_matrix_from_coeffs(g):
@@ -156,44 +160,35 @@ def emit_contours(g, center, resolution, path):
         theta = 2.0 * np.pi * np.arange(resolution) / resolution
         units = np.column_stack([np.cos(theta), np.sin(theta)])
         pts = center + radii(units)[:, None] * units
-        pts = np.vstack([pts, pts[:1]])          # close the loop
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y"])
-            for row in pts:
-                writer.writerow([f"{v:.12g}" for v in row])
-        return
-
-    bands = resolution
-    lons = 2 * resolution
-    theta = np.pi * np.arange(bands + 1) / bands
-    phi = 2.0 * np.pi * np.arange(lons) / lons
-    st, ct = np.sin(theta), np.cos(theta)
-    units = np.stack([
-        np.outer(st, np.cos(phi)),
-        np.outer(st, np.sin(phi)),
-        np.outer(ct, np.ones(lons)),
-    ], axis=-1)                                   # (bands+1, lons, 3)
-    flat = units.reshape(-1, 3)
-    norms = np.linalg.norm(flat, axis=1, keepdims=True)
-    flat = flat / np.clip(norms, 1e-15, None)
-    verts = (center + radii(flat)[:, None] * flat).reshape(bands + 1, lons, 3)
-
-    def tri_row(a, b, c):
-        return [f"{v:.12g}" for p in (a, b, c) for v in p]
-
+        header, rows = "x,y", np.vstack([pts, pts[:1]])     # close the loop
+    else:
+        bands = resolution
+        lons = 2 * resolution
+        theta = np.pi * np.arange(bands + 1) / bands
+        phi = 2.0 * np.pi * np.arange(lons) / lons
+        st, ct = np.sin(theta), np.cos(theta)
+        units = np.stack([
+            np.outer(st, np.cos(phi)),
+            np.outer(st, np.sin(phi)),
+            np.outer(ct, np.ones(lons)),
+        ], axis=-1)                               # (bands+1, lons, 3)
+        flat = units.reshape(-1, 3)
+        norms = np.linalg.norm(flat, axis=1, keepdims=True)
+        flat = flat / np.clip(norms, 1e-15, None)
+        verts = (center + radii(flat)[:, None] * flat).reshape(bands + 1, lons, 3)
+        # cell (i, j) gives triangles (a, c, b) and (b, c, e); the first
+        # collapses to the pole in the top row, the second in the bottom row
+        i, j = np.indices((bands, lons))
+        jn = (j + 1) % lons
+        a, b = verts[i, j], verts[i, jn]
+        c, e = verts[i + 1, j], verts[i + 1, jn]
+        tris = np.stack([np.concatenate([a, c, b], axis=-1),
+                         np.concatenate([b, c, e], axis=-1)], axis=2)
+        header = "x1,y1,z1,x2,y2,z2,x3,y3,z3"
+        rows = tris[np.stack([i > 0, i < bands - 1], axis=2)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "y1", "z1", "x2", "y2", "z2", "x3", "y3", "z3"])
-        for i in range(bands):
-            for j in range(lons):
-                jn = (j + 1) % lons
-                a, b = verts[i, j], verts[i, jn]
-                c, e = verts[i + 1, j], verts[i + 1, jn]
-                if i > 0:                         # top row collapses to the pole
-                    writer.writerow(tri_row(a, c, b))
-                if i < bands - 1:                 # bottom row collapses too
-                    writer.writerow(tri_row(b, c, e))
+        np.savetxt(fh, rows, fmt="%.12g", delimiter=",", newline="\r\n",
+                   header=header, comments="")
 
 
 def _report_payload(cs, mode, degree, report, center, cert, audit):

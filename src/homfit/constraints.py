@@ -202,8 +202,8 @@ def _push_to_boundary(k, points):
         return np.column_stack([q(x) for q in k.inequalities])
 
     def gradient(q):
-        return np.column_stack([monomial_partials(points, q.exponents, (j,)) @ q.coeffs
-                                for j in range(k.n)])
+        axes = [(j,) for j in range(k.n)]
+        return monomial_partials(points, q.exponents, axes) @ q.coeffs
 
     binding = np.argmin(values(points), axis=1)
     grad = np.stack([gradient(q) for q in k.inequalities])[binding, np.arange(len(points))]

@@ -166,11 +166,13 @@ def _differentiate(exponents, axes):
     return shifted, factor
 
 
-def monomial_partials(x, exponents, axes):
-    """d/dx_j1 ... d/dx_jk of x^a for each exponent row a, j in `axes`,
-    at the (m, n) points x; returns shape (m, rows)."""
-    shifted, factor = _differentiate(exponents, axes)
-    return monomial_matrix(x, shifted) * factor
+def monomial_partials(x, exponents, derivatives):
+    """d/dx_j1 ... d/dx_jk of x^a at the (m, n) points x, for each exponent
+    row a and each tuple (j1, ..., jk) in `derivatives` (() is x^a itself);
+    shape (m, len(derivatives), rows), from one monomial_matrix call."""
+    shifted, factor = zip(*(_differentiate(exponents, axes) for axes in derivatives))
+    values = monomial_matrix(x, np.concatenate(shifted)) * np.concatenate(factor)
+    return values.reshape(len(values), len(derivatives), -1)
 
 
 @lru_cache(maxsize=64)
@@ -263,9 +265,8 @@ class HomogeneousPoly:
         arr = np.atleast_2d(np.asarray(x, dtype=float))
         if arr.shape[1] != self.n:
             raise ValueError("point dimension mismatch")
-        out = np.column_stack([
-            monomial_partials(arr, self.basis.exponents, (j,)) @ self.coeff_vector
-            for j in range(self.n)])
+        axes = [(j,) for j in range(self.n)]
+        out = monomial_partials(arr, self.basis.exponents, axes) @ self.coeff_vector
         return out[0] if np.asarray(x).ndim == 1 else out
 
     def __add__(self, other):

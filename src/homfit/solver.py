@@ -112,8 +112,7 @@ from .integrals import MomentVector, integral_exp, moment_vector
 from .polynomials import (HomogeneousPoly, basis_for, compose_linear,
                           power_matrix)
 
-__all__ = ["SolveReport", "initial_guess", "objective_grad_hess",
-           "solve_min_volume", "kkt_residual"]
+__all__ = ["SolveReport", "initial_guess", "solve_min_volume"]
 
 BARRIER_T0 = 1.0             # barrier weight t of the first stage
 BARRIER_MULTIPLIER = 10.0    # growth of t from one stage to the next
@@ -159,47 +158,16 @@ class SolveReport:
     moment_data: MomentVector            # at g_star, exact map
 
 
-def initial_guess(cs, degree, margin=FEASIBILITY_MARGIN):
-    """Strictly feasible start: scale x_1^d + ... + x_n^d so the largest
-    sample value is 1/(1+margin).  Always inside the positivity cone.
-
-    `cs` is a ConstraintSet or an (m, n) array of points."""
-    points = np.atleast_2d(getattr(cs, "points", cs))
+def initial_guess(points, degree):
+    """Strictly feasible start for the (m, n) points: x_1^d + ... + x_n^d
+    scaled so the largest sample value is 1/(1+FEASIBILITY_MARGIN).
+    Always inside the positivity cone."""
     base = HomogeneousPoly.sum_of_powers(points.shape[1], degree)
     top = float(np.max(base(points)))
     if top <= 0.0:
         # all points at the origin; any positive polynomial is feasible
         return base
-    return base * (1.0 / ((1.0 + margin) * top))
-
-
-def objective_grad_hess(g, hint=None):
-    """Objective f(g) = Integral exp(-g), its gradient and Hessian in the
-    coefficient basis: grad_a = -I_a, hess_ab = I_{a+b}.
-
-    Returns (f, grad, hess, moment_data).
-    """
-    mv = moment_vector(g, include_2d=True, hint=hint)
-    return mv.y0, -mv.slice_d, mv.hessian_matrix(), mv
-
-
-def kkt_residual(g, multipliers, cs):
-    """Scaled KKT error for a candidate (g, multipliers) pair.
-
-    max of: stationarity |sum_i lambda_i x_i^a - I_a|_inf, complementary
-    slackness max_i |lambda_i (1 - g(x_i))|, and primal feasibility
-    max_i (g(x_i) - 1)_+, all divided by the total mass y0.
-    multipliers is one nonnegative weight per point of cs.
-    """
-    lam = np.asarray(multipliers, dtype=float).reshape(-1)
-    if lam.shape[0] != len(cs):
-        raise ValueError(f"expected {len(cs)} multipliers, got {lam.shape[0]}")
-    if np.any(lam < -1e-15):
-        raise ValueError("multipliers must be nonnegative")
-    mv = moment_vector(g)
-    V = basis_for(cs.n, g.degree).monomials(cs.points)
-    slack = 1.0 - V @ g.coeff_vector
-    return _residual_from_parts(V, lam, mv.slice_d, slack, mv.y0)
+    return base * (1.0 / ((1.0 + FEASIBILITY_MARGIN) * top))
 
 
 def _polish_multipliers(V, slack, yd, cut):
@@ -409,11 +377,11 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
     def derivatives(x, t, reuse):
         if reuse:       # x is the last fused trial (_newton_stage)
             mv = kept["moments"]
-            y0, grad_f, hess_f = mv.y0, -mv.slice_d, kept["hess_f"]
-        else:
-            y0, grad_f, hess_f, mv = objective_grad_hess(
-                HomogeneousPoly(n, degree, x[:size]), hint)
-            kept["hess_f"] = hess_f
+        else:           # f = Integral exp(-g): grad_a = -I_a, hess_ab = I_{a+b}
+            mv = moment_vector(HomogeneousPoly(n, degree, x[:size]),
+                               include_2d=True, hint=hint)
+            kept["hess_f"] = mv.hessian_matrix()
+        y0, grad_f, hess_f = mv.y0, -mv.slice_d, kept["hess_f"]
         s, D, curvature = slacks(x, True)
         if curvature is None:       # one m x size temporary per step
             grad = t * grad_f + D.T @ (1.0 / s)

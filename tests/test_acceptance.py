@@ -185,7 +185,8 @@ def test_criterion_06_uniqueness_probe():
         cs = ConstraintSet(np.concatenate([half, -half]))
         rep_a = solve_min_volume(cs, d)
         rep_b = solve_min_volume(
-            cs, d, resume=(initial_guess(cs, d, margin=1.0), BARRIER_T0))
+            cs, d, resume=(initial_guess(cs.points, d) * (1.01 / 2.0),
+                           BARRIER_T0))
         scale = max(1.0, float(np.max(np.abs(rep_a.g_star.coeff_vector))))
         gap = float(np.max(np.abs(rep_a.g_star.coeff_vector
                                   - rep_b.g_star.coeff_vector))) / scale

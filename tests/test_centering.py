@@ -10,8 +10,8 @@ import pytest
 from conftest import philox, symmetric_cloud
 from homfit import (ConstraintSet, ConvergenceError, DegenerateInputError,
                     KDescription, NotInConeError, centering,
-                    rho_of_center, solve_min_volume, solve_min_volume_centered,
-                    solver, to_constraints)
+                    solve_min_volume, solve_min_volume_centered, solver,
+                    to_constraints)
 from homfit.solver import _whiten
 
 PI = math.pi
@@ -24,6 +24,12 @@ OFFSET_ELLIPSE = KDescription.semialgebraic(
     [[-1.0, 2.0], [-1.0, 1.0]])
 
 
+def rho(a, cs, degree):
+    """Optimal objective for the points shifted by -a; +inf when that
+    solve fails."""
+    return centering._solve_at(cs, np.asarray(a, dtype=float), degree, 1e-8)[0]
+
+
 def assert_best_center(rep, cs, degree):
     """The fit beats the centroid and the origin, and no axis move of
     1e-3 * spread from its center lowers rho."""
@@ -31,12 +37,12 @@ def assert_best_center(rep, cs, degree):
     centroid = pts.mean(axis=0)
     bound = rep.inner.objective * (1.0 - 1e-9)
     for a in (centroid, np.zeros(cs.n)):
-        assert rho_of_center(a, cs, degree) >= bound
-    rho_star = rho_of_center(rep.center, cs, degree)
+        assert rho(a, cs, degree) >= bound
+    rho_star = rho(rep.center, cs, degree)
     assert rho_star == pytest.approx(rep.inner.objective, rel=1e-12)
     h = 1e-3 * float(np.max(np.linalg.norm(pts - centroid, axis=1)))
     for step in np.vstack([np.eye(cs.n), -np.eye(cs.n)]):
-        assert rho_of_center(rep.center + h * step, cs, degree) >= rho_star * (1.0 - 1e-9)
+        assert rho(rep.center + h * step, cs, degree) >= rho_star * (1.0 - 1e-9)
 
 
 def seeded_cloud(seed):
@@ -71,19 +77,20 @@ def test_rho_matches_inner_objective():
     pts = symmetric_cloud(4, n=2, m=8)
     cs = ConstraintSet(pts)
     base = solve_min_volume(cs, 2)
-    assert rho_of_center(np.zeros(2), cs, 2) == pytest.approx(base.objective, rel=1e-9)
+    assert solve_min_volume(cs.shifted(np.zeros(2)), 2).objective == \
+        pytest.approx(base.objective, rel=1e-9)
 
     cs_sq = ConstraintSet(SQUARE)
     best = solve_min_volume_centered(cs_sq, 2)
-    at_center = rho_of_center(np.array([1.0, 1.0]), cs_sq, 2)
+    at_center = solve_min_volume(cs_sq.shifted([1.0, 1.0]), 2).objective
     assert at_center <= best.inner.objective * (1.0 + 1e-7)
 
 
 def test_rho_is_continuous_near_center():
     cs = ConstraintSet(SQUARE)
-    base = rho_of_center(np.array([1.0, 1.0]), cs, 2)
+    base = solve_min_volume(cs.shifted(np.array([1.0, 1.0])), 2).objective
     for delta in ([1e-4, 0.0], [0.0, -1e-4]):
-        near = rho_of_center(np.array([1.0, 1.0]) + delta, cs, 2)
+        near = solve_min_volume(cs.shifted(np.array([1.0, 1.0]) + delta), 2).objective
         assert abs(near - base) <= 1e-4 * base
 
 
@@ -134,8 +141,7 @@ def test_one_barrier_path():
     tree = ast.parse(Path(centering.__file__).read_text())
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert not imported & {"_newton_stage", "integral_exp",
-                           "objective_grad_hess"}
+    assert not imported & {"_newton_stage", "integral_exp", "moment_vector"}
     calls = 0
     for path in Path(centering.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -187,7 +193,8 @@ def test_joint_failure_falls_back(monkeypatch):
     rep = solve_min_volume_centered(cs, 2)
     assert rep.meta["fallback"] == "joint path: stage cap reached"
     assert rep.evaluations == 2 and rep.outer_iterations == 0
-    best = min(rho_of_center(pts.mean(axis=0), cs, 2), rho_of_center(np.zeros(2), cs, 2))
+    best = min(solve_min_volume(cs.shifted(a), 2).objective
+               for a in (pts.mean(axis=0), np.zeros(2)))
     assert rep.inner.objective == best
 
 
@@ -256,7 +263,7 @@ def test_resume_failure_falls_back_to_cold(error, monkeypatch):
     rep = solve_min_volume_centered(cs, 2)
     assert rep.meta["chosen"] == "joint" and rep.meta["fallback"] is None
     assert rep.evaluations == 4         # the failed resume counts
-    assert rep.inner.objective == rho_of_center(rep.center, cs, 2)
+    assert rep.inner.objective == solve_min_volume(cs.shifted(rep.center), 2).objective
 
 
 def test_solver_picks_contacts_near_the_optimal_center():

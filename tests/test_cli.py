@@ -15,8 +15,9 @@ import pytest
 
 import homfit
 from conftest import philox, symmetric_cloud
-from homfit import HomogeneousPoly, NotInConeError, integral_exp, integrals
-from homfit.cli import emit_contours, main
+from homfit import (CertificateError, ConvergenceError, HomogeneousPoly,
+                    NotInConeError, integral_exp, integrals)
+from homfit.cli import emit_contours, load_description, main
 
 PI = math.pi
 
@@ -181,6 +182,34 @@ def test_parse_failures(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1,0\nfoo,1\n", "{path}:2: non-numeric cell"),
+    # a bad cell wins over rows of unequal width, even after them
+    ("1,2\n1,2,3\n\nfoo,1\n", "{path}:4: non-numeric cell"),
+    # quoting keeps a comma inside one cell
+    ('"1,5",2\n3,4\n', "{path}:1: non-numeric cell"),
+    ("", "{path}: no points found"),
+    ("\n , \n,,\n", "{path}: no points found"),
+    ("1,2\n1,2,3\n", "{path}: rows have inconsistent dimension"),
+    ('"",1\n2,3\n', "{path}: rows have inconsistent dimension"),
+    ("nan,1\n2,3\n", "points must be finite"),
+], ids=["bad_cell", "bad_after_ragged", "quoted_comma", "empty", "blank_cells",
+        "ragged", "empty_quoted", "nan"])
+def test_csv_messages(tmp_path, text, message):
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_description(path)
+    assert str(info.value) == message.format(path=path)
+
+
+def test_csv_cells_skip_blanks_and_quotes(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text('\n"1.5", 2,,\n\n 3 ,"4"\r\n-1e-3,1_0\n')
+    assert load_description(path).points.tolist() == [[1.5, 2.0], [3.0, 4.0],
+                                                      [-1e-3, 10.0]]
+
+
 def test_collinear_exit3(tmp_path, capsys):
     p = tmp_path / "line.csv"
     write_csv(p, [[1, 1], [2, 2], [-3, -3]])
@@ -225,6 +254,40 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_oracle_error_goes_into_the_report(disk_csv, tmp_path, monkeypatch):
+    def fail(points):
+        raise ConvergenceError("oracle did not converge")
+
+    monkeypatch.setattr(homfit.cli, "mvee_symmetric", fail)
+    code, payload, _ = run_job(tmp_path, [disk_csv])
+    assert code == 0
+    assert payload["oracle"] == {"error": "oracle did not converge"}
+    assert payload["volume"] == pytest.approx(PI, rel=1e-6)
+
+
+def test_certificate_error_reports_null(disk_csv, tmp_path, monkeypatch):
+    def fail(report, cs):
+        raise CertificateError("no certificate")
+
+    monkeypatch.setattr(homfit.cli, "build_certificate", fail)
+    code, payload, _ = run_job(tmp_path, [disk_csv])
+    assert code == 0
+    assert payload["certificate"] is None
+    assert payload["volume"] == pytest.approx(PI, rel=1e-6)
+
+
+def test_unbounded_contour_exits_4(disk_csv, tmp_path, capsys, monkeypatch):
+    def fail(g, center, resolution, path):
+        raise NotInConeError("level set is unbounded in some direction")
+
+    monkeypatch.setattr(homfit.cli, "emit_contours", fail)
+    code, payload, _ = run_job(tmp_path, [disk_csv, "--contours", "16"])
+    assert code == 4 and payload is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {"type": "convergence", "message":
+                            "level set is unbounded in some direction"}
 
 
 def test_contours_circle_exact(tmp_path):
@@ -277,6 +340,42 @@ def test_contours_3d_sphere(tmp_path):
     assert tris.shape == (2 * 5 * 12, 9)
     verts = tris.reshape(-1, 3)
     assert np.max(np.abs(np.linalg.norm(verts, axis=1) - 1.0)) < 1e-9
+
+
+def _soup_by_loop(g, center, bands, path):
+    """The n = 3 contour file as first written: one csv row per triangle,
+    cell by cell."""
+    lons = 2 * bands
+    theta = np.pi * np.arange(bands + 1) / bands
+    phi = 2.0 * np.pi * np.arange(lons) / lons
+    st, ct = np.sin(theta), np.cos(theta)
+    flat = np.stack([np.outer(st, np.cos(phi)), np.outer(st, np.sin(phi)),
+                     np.outer(ct, np.ones(lons))], axis=-1).reshape(-1, 3)
+    flat = flat / np.clip(np.linalg.norm(flat, axis=1, keepdims=True), 1e-15, None)
+    radii = g(flat) ** (-1.0 / g.degree)
+    verts = (center + radii[:, None] * flat).reshape(bands + 1, lons, 3)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "y1", "z1", "x2", "y2", "z2", "x3", "y3", "z3"])
+        for i in range(bands):
+            for j in range(lons):
+                jn = (j + 1) % lons
+                a, b = verts[i, j], verts[i, jn]
+                c, e = verts[i + 1, j], verts[i + 1, jn]
+                if i > 0:
+                    writer.writerow([f"{v:.12g}" for p in (a, c, b) for v in p])
+                if i < bands - 1:
+                    writer.writerow([f"{v:.12g}" for p in (b, c, e) for v in p])
+
+
+@pytest.mark.parametrize("bands", [3, 7])
+def test_contours_3d_match_the_cell_loop(tmp_path, bands):
+    g = HomogeneousPoly(3, 4, {(4, 0, 0): 1.0, (0, 4, 0): 2.0, (0, 0, 4): 0.5,
+                               (2, 2, 0): 0.3, (1, 1, 2): 0.1})
+    center = np.array([0.3, -1.7, 2.5])
+    emit_contours(g, center, bands, tmp_path / "soup.csv")
+    _soup_by_loop(g, center, bands, tmp_path / "loop.csv")
+    assert (tmp_path / "soup.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 def test_contours_validation(tmp_path):

@@ -114,22 +114,30 @@ def test_monomial_derivatives_match_differences():
     h = 1e-6
     for n, d in [(1, 4), (2, 2), (2, 6), (3, 4)]:
         exps = basis_for(n, d).exponents
+
+        def partial(x, axes):
+            return monomial_partials(x, exps, [axes])[:, 0]
+
         x = rng.normal(size=(3, n))
-        assert np.array_equal(monomial_partials(x, exps, ()), monomial_matrix(x, exps))
+        assert np.array_equal(partial(x, ()), monomial_matrix(x, exps))
         g = HomogeneousPoly(n, d, rng.normal(size=len(exps)))
         for j in range(n):
             e = h * np.eye(n)[j]
-            jac = monomial_partials(x, exps, (j,))
+            jac = partial(x, (j,))
             assert jac.shape == (3, len(exps))
             fd = (monomial_matrix(x + e, exps) - monomial_matrix(x - e, exps)) / (2 * h)
             assert np.allclose(jac, fd, rtol=1e-6, atol=1e-6)
             fd_g = (g(x + e) - g(x - e)) / (2 * h)
             assert np.allclose(g.gradient(x)[:, j], fd_g, rtol=1e-6, atol=1e-6)
             for l in range(n):
-                fd2 = (monomial_partials(x + h * np.eye(n)[l], exps, (j,))
-                       - monomial_partials(x - h * np.eye(n)[l], exps, (j,))) / (2 * h)
-                assert np.allclose(monomial_partials(x, exps, (j, l)), fd2,
+                fd2 = (partial(x + h * np.eye(n)[l], (j,))
+                       - partial(x - h * np.eye(n)[l], (j,))) / (2 * h)
+                assert np.allclose(partial(x, (j, l)), fd2,
                                    rtol=1e-6, atol=1e-6)
+        # a whole jet in one call stacks the single derivatives
+        jet = [(), *((j,) for j in range(n)), *((j, l) for j in range(n) for l in range(j, n))]
+        assert np.array_equal(monomial_partials(x, exps, jet),
+                              np.stack([partial(x, axes) for axes in jet], axis=1))
 
 
 def test_min_on_sphere_values():

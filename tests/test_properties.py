@@ -27,6 +27,9 @@ def _map(seed, n):
     return M
 
 
+# Hypothesis seeds a derandomized test from its source text; this pins the
+# seed the source gave before the pin, so edits here keep the same clouds.
+@seed(12984642454933619946656641544004964885276189602301183048484848655679364179454450607435003488509837435954846817892726)
 @SEEDED
 @given(seed=st.integers(0, 2 ** 32 - 1), degree=st.sampled_from([2, 4]))
 def test_affine_equivariance(seed, degree):

@@ -7,10 +7,9 @@ import pytest
 
 from conftest import philox, quartic_star, random_cloud, symmetric_cloud
 from homfit import (ConstraintSet, ConvergenceError, DegenerateInputError,
-                    HomogeneousPoly, build_certificate,
-                    initial_guess, integral_exp, kkt_residual, moment_vector,
-                    objective_grad_hess, solve_min_volume,
-                    solve_min_volume_centered, solver)
+                    HomogeneousPoly, basis_for, build_certificate,
+                    initial_guess, integral_exp, moment_vector,
+                    solve_min_volume, solve_min_volume_centered, solver)
 
 PI = math.pi
 
@@ -54,20 +53,28 @@ def test_dual_mass_identity(disk4):
 
 
 def test_initial_guess_examples(disk4):
-    g = initial_guess(disk4, 2)
+    g = initial_guess(disk4.points, 2)
     assert g.coeff((2, 0)) == pytest.approx(1.0 / 1.01)
     assert g.coeff((0, 2)) == pytest.approx(1.0 / 1.01)
     vals = g(disk4.points)
     assert np.max(vals) < 1.0
 
-    single = ConstraintSet([[2.0, 0.0]])
-    g4 = initial_guess(single, 4)
+    g4 = initial_guess(np.array([[2.0, 0.0]]), 4)
     assert g4.coeff((4, 0)) == pytest.approx(1.0 / (1.01 * 16.0))
+
+
+def test_initial_guess_with_every_point_at_the_origin():
+    # no sample value to scale by: the start is x_1^d + ... + x_n^d itself
+    g = initial_guess(np.zeros((3, 2)), 4)
+    assert np.array_equal(g.coeff_vector,
+                          HomogeneousPoly.sum_of_powers(2, 4).coeff_vector)
 
 
 def test_objective_grad_hess_gaussian():
     g = HomogeneousPoly(2, 2, {(2, 0): 1.0, (0, 2): 1.0})
-    f, grad, hess, mv = objective_grad_hess(g)
+    # objective f = Integral exp(-g), gradient -I_a and Hessian I_{a+b}
+    mv = moment_vector(g, include_2d=True)
+    f, grad, hess = mv.y0, -mv.slice_d, mv.hessian_matrix()
     assert f == pytest.approx(PI, rel=1e-9)
     # basis order (2,0),(1,1),(0,2); gradient is minus the moment vector
     assert grad == pytest.approx([-PI / 2.0, 0.0, -PI / 2.0], abs=1e-9)
@@ -76,18 +83,6 @@ def test_objective_grad_hess_gaussian():
     assert hess[1, 1] == pytest.approx(PI / 4.0, rel=1e-8)
     assert np.allclose(hess, hess.T)
     assert mv.y0 == pytest.approx(f)
-
-
-def test_kkt_residual_disk(disk4):
-    g = HomogeneousPoly(2, 2, {(2, 0): 1.0, (0, 2): 1.0})
-    lam = np.full(4, PI / 4.0)
-    assert kkt_residual(g, lam, disk4) <= 1e-8
-    # dropping the multipliers leaves pure stationarity error
-    assert kkt_residual(g, np.zeros(4), disk4) == pytest.approx(0.5, rel=1e-8)
-    with pytest.raises(ValueError):
-        kkt_residual(g, np.array([-1.0, 0.0, 0.0, 0.0]), disk4)
-    with pytest.raises(ValueError):
-        kkt_residual(g, np.ones(3), disk4)
 
 
 def test_collinear_points_degenerate():
@@ -114,8 +109,12 @@ def test_random_cloud_feasible_and_certified():
     vals = rep.g_star(cs.points)
     assert np.max(vals) <= 1.0 + 1e-9
     assert rep.kkt_residual <= 1e-8
-    # residual re-measured from scratch in the original frame stays small
-    assert kkt_residual(rep.g_star, rep.multipliers, cs) <= 1e-5
+    # residual re-measured from scratch in the original frame stays small:
+    # stationarity against a fresh quadrature, complementary slackness
+    fresh = moment_vector(rep.g_star)
+    V = basis_for(2, 2).monomials(cs.points)
+    assert np.max(np.abs(V.T @ rep.multipliers - fresh.slice_d)) <= 1e-5 * fresh.y0
+    assert np.max(np.abs(rep.multipliers * (1.0 - vals))) <= 1e-5 * fresh.y0
 
 
 def test_quartic_cloud_converges():
@@ -181,6 +180,14 @@ def test_budget_message_names_budget_weight_and_residual(monkeypatch):
     with pytest.raises(ConvergenceError, match=r"newton budget 3 exhausted "
                        r"at barrier weight t=\S+ \(last residual \S+\)$"):
         solve_min_volume(cs, 2)
+
+
+def test_stage_cap_raises(disk4, monkeypatch):
+    # one stage at t = 1 is far from the gap bound m/t <= tol * y0
+    monkeypatch.setattr(solver, "MAX_STAGES", 1)
+    with pytest.raises(ConvergenceError, match=r"^barrier stage cap 1 reached "
+                       r"without meeting tolerance \(last residual inf\)$"):
+        solve_min_volume(disk4, 2)
 
 
 def test_barrier_schedule_is_fixed(disk4):
@@ -321,6 +328,40 @@ def test_line_search_stops_at_phi_rounding():
                                            barrier_value, 10)
     assert np.array_equal(x, x0) and steps == 1
     assert len(calls) <= 5
+
+
+def test_stage_stops_after_six_steps_that_do_not_halve_the_decrement():
+    # Phi(x) = -x with a unit Hessian: every Newton step is +1 with
+    # decrement 1 and is accepted at alpha = 1, so only the stall rule ends
+    # the stage, after the first step and six more that fail to halve it
+    def derivatives(x, t, reuse):
+        return 1.0, -x[0], np.array([-1.0]), np.eye(1)
+
+    def barrier_value(x, t, fuse):
+        return -x[0]
+
+    x, steps, state = solver._newton_stage(np.zeros(1), 1.0, derivatives,
+                                           barrier_value, 50)
+    assert steps == 6 and x[0] == pytest.approx(6.0, rel=1e-9)
+    assert state[1] == -x[0]
+
+
+def test_newton_step_escalates_the_ridge():
+    # indefinite: Cholesky fails until the ridge, 1e-12 * trace / dim grown
+    # a hundredfold per try, passes 1e-3 at the sixth try
+    hess, grad = np.diag([1.0, -1e-3]), np.array([1.0, 1.0])
+    ridge = 1e-12 * float(np.trace(hess)) / 2 * 100.0 ** 5
+    step = solver._newton_step(hess, grad)
+    assert step == pytest.approx(-grad / (np.diag(hess) + ridge), rel=1e-12)
+    assert grad @ step < 0.0
+
+
+def test_newton_step_falls_back_to_least_squares():
+    # negative definite: the ridge starts negative, restarts at 1e-300 and
+    # stays far below 1 for all twelve tries, so lstsq solves H s = -grad
+    hess, grad = -np.eye(2), np.array([1.0, -2.0])
+    step = solver._newton_step(hess, grad)
+    assert np.array_equal(step, np.linalg.lstsq(hess, -grad, rcond=None)[0])
 
 
 @pytest.mark.parametrize("pts", [random_cloud(3, n=2, m=30),
