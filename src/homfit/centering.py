@@ -18,6 +18,17 @@ the origin-centered one (up to solver tolerance) and every answer comes
 with the solver's own SolveReport.  The solve at the joint center
 resumes where the joint path ended (_resume_point), so it yields at the
 cold solve's t_final with the cold answer; it falls back to a cold one.
+
+The centroid and origin solves run after it, each with a bar: the best
+objective so far.  At every Newton step such a solve takes a
+weak-duality lower bound on its own optimum from the moments the step
+already has (solver._duality_probe), and stops once the bound exceeds
+the bar by more than the bound's own quadrature and residual error and a
+relative 1e-9.  A stopped candidate's optimum is then provably above the
+bar, so its full solve would have lost: the winner and its report are
+those of solving all three.  A candidate that can win is never stopped,
+and one that is not stopped runs the unbarred path bit for bit.  Its
+bound and step count go to meta["pruned"]; it still counts as a solve.
 """
 
 from __future__ import annotations
@@ -30,9 +41,9 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateInputError, NotInConeError
 from .polynomials import (HomogeneousPoly, basis_for, compose_linear,
                           monomial_partials)
-from .solver import (BARRIER_MULTIPLIER, BARRIER_T0, SolveReport,
-                     _barrier_path, _check_tolerance, _whiten, initial_guess,
-                     solve_min_volume)
+from .solver import (BARRIER_MULTIPLIER, BARRIER_T0, SolveReport, _Pruned,
+                     _barrier_path, _check_tolerance, _solve_min_volume,
+                     _whiten, initial_guess, solve_min_volume)
 
 __all__ = ["CenteredSolveReport", "solve_min_volume_centered"]
 
@@ -46,7 +57,9 @@ class CenteredSolveReport:
     barrier stages ("joint_stages"), its center stationarity
     ||sum_i lambda_i grad g(x_i - a)||_inf / y0 with lambda_i =
     1/(t s_i), measured in the whitened frame ("center_stationarity"),
-    the reason the joint path was abandoned, if it was ("fallback"), and
+    the reason the joint path was abandoned, if it was ("fallback"),
+    the candidates stopped by their bar ("pruned": name -> {"bound":
+    lower bound on its objective, "steps": derivative evaluations}), and
     which candidate won ("chosen").
     """
 
@@ -62,21 +75,28 @@ class CenteredSolveReport:
         return self.inner.g_star
 
 
-def _solve_at(cs, a, degree, tol, resume=None):
+def _solve_at(cs, a, degree, tol, resume=None, bar=np.inf):
     """Fixed-center solve for the points shifted by -a: resumed from
     resume = (g, t) if given, then cold if that fails.  The solver picks
     the contacts itself, points just inside the boundary included, so a
-    cold failure is final.
+    cold failure is final.  A finite bar lets the solve stop once it
+    proves its optimum above bar (solver._solve_min_volume).
 
-    Returns (objective, report, solves run), or (+inf, error, solves run)
-    when the shifted problem has no solve.
+    Returns (objective, report, solves run), (+inf, error, solves run)
+    when the shifted problem has no solve, or (lower bound, _Pruned,
+    solves run) when it was pruned.
     """
     shifted = cs.shifted(a)
     starts = [resume, None] if resume is not None else [None]
     for solves, start in enumerate(starts, start=1):
         try:
-            report = solve_min_volume(shifted, degree, tol, start)
+            if bar < np.inf:
+                report = _solve_min_volume(shifted, degree, tol, start, bar)
+            else:
+                report = solve_min_volume(shifted, degree, tol, start)
             return report.objective, report, solves
+        except _Pruned as cut:
+            return cut.bound, cut, solves
         except (ConvergenceError, DegenerateInputError, NotInConeError) as exc:
             error = exc
     return np.inf, error, solves
@@ -143,7 +163,8 @@ def solve_min_volume_centered(cs, degree, tol=1e-8):
 
     Runs the joint (g, a) barrier path in coordinates whitened about the
     centroid, then fixed-center solves at the joint center (resumed), the
-    centroid and the origin; the smallest objective wins.  If the joint
+    centroid and the origin, each after the first stopped once it provably
+    loses (module docstring); the smallest objective wins.  If the joint
     path fails (ConvergenceError or NotInConeError) only the centroid and
     the origin are tried, and meta["fallback"] says why.
 
@@ -173,11 +194,16 @@ def solve_min_volume_centered(cs, degree, tol=1e-8):
         meta["fallback"] = str(exc)
     candidates += [("centroid", centroid, None), ("origin", np.zeros(n), None)]
 
-    results = []
+    results, best = [], np.inf
     evaluations = 0
+    meta["pruned"] = {}
     for name, center, resume in candidates:
-        value, report, solves = _solve_at(cs, center, degree, tol, resume)
+        value, report, solves = _solve_at(cs, center, degree, tol, resume, best)
         evaluations += solves
+        if isinstance(report, _Pruned):
+            meta["pruned"][name] = {"bound": value, "steps": report.steps}
+        else:
+            best = min(best, value)
         results.append((value, report, center, name))
     value, report, center, meta["chosen"] = min(results, key=lambda r: r[0])
     if not np.isfinite(value):

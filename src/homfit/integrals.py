@@ -13,7 +13,11 @@ resolution doubles from about START_POINTS nodes until two consecutive
 levels agree to TOLERANCE (relative) or the next level would exceed
 MAX_POINTS; both sizes count the full sphere grid, although only half of
 its nodes are evaluated.  Gauss levels are not nested, so the self-check
-compares the accuracy of two rules rather than refining one.
+compares the accuracy of two rules rather than refining one.  The
+exception is n = 2, whose rule is the trapezoid rule on the circle: the
+half grid of resolution r / 2 is every other node of resolution r, bit
+for bit, so a call's first pair costs one level evaluation, the coarse
+sums being the even nodes' sums with doubled weights (_level).
 
 A caller that integrates a sequence of similar integrands (the Newton
 iterates of one barrier path) passes a hint: a dict holding the
@@ -133,6 +137,51 @@ def _work_arrays(count, rows, cols):
     return _workspace.buf[:size].reshape(count, rows, cols)
 
 
+def _level(g, degrees, resolution, floor, nested=False):
+    """One level of the ladder: the unscaled slice totals of the degrees in
+    `degrees` on the half grid of `resolution`, and its full point count.
+    NotInConeError if g falls to `floor` at a node.
+
+    With nested (n = 2 only) it also returns the totals of the half grid
+    of resolution / 2: its nodes are this grid's even ones, bit for bit
+    (angles 2 pi (2j) / r = 2 pi j / (r / 2) in floating point), with
+    doubled weights, so they are the even nodes' sums, doubled.
+    """
+    n, d = g.n, g.degree
+    coeffs = g.coeff_vector
+    _, tw, _, weights = half_grid_factors(n, resolution)
+    outer, inner = _basis_tables(n, resolution, d)
+    gv, radial, weighted = _work_arrays(3, tw.size, weights.size)
+    np.matmul(outer * coeffs, inner.T, out=gv)
+    worst = float(gv.min())
+    if worst <= floor:
+        raise NotInConeError(
+            f"g is not strictly positive on the sphere "
+            f"(sampled value {worst:.3e}); moments diverge"
+        )
+    totals, halves = [], []
+    last_k = None
+    for k in degrees:
+        # a slice d above the last differs by a factor g^{-1}; one real
+        # pow, then divisions
+        if last_k == k - d:
+            np.divide(radial, gv, out=radial)
+        else:
+            np.power(gv, -(n + k) / d, out=radial)
+        last_k = k
+        if k == 0:
+            totals.append(np.array([float(tw @ (radial @ weights))]))
+            if nested:
+                halves.append(np.array([2.0 * float(radial[0, ::2] @ weights[::2])]))
+            continue
+        outer, inner = _basis_tables(n, resolution, k)
+        totals.append(tw @ (np.multiply(radial, weights, out=weighted) @ inner * outer))
+        if nested:
+            halves.append(2.0 * (weighted[0, ::2] @ inner[::2]))
+    count = 2 * tw.size * weights.size
+    return (totals, count, halves) if nested else (totals, count)
+
+
 def _angular_integrals(g, degrees, hint=None):
     """The moment slices of exp(-g) of the even total degrees in `degrees`,
     ascending; degree 0 is the mass.
@@ -142,7 +191,8 @@ def _angular_integrals(g, degrees, hint=None):
     for every a in basis_for(n, k), in that order.  Doubles the grid from
     about START_POINTS nodes until two consecutive levels agree within
     TOLERANCE (each slice scaled by its own largest component) or the next
-    level would exceed MAX_POINTS.
+    level would exceed MAX_POINTS.  At n = 2 the first pair takes one
+    level evaluation (_level's nested sums).
 
     `hint` is an optional mutable dict, the ladder's memory between calls
     on similar integrands: "res", the resolution of the last returned
@@ -153,35 +203,6 @@ def _angular_integrals(g, degrees, hint=None):
     """
     n, d = g.n, g.degree
     floor = positivity_floor(g)
-    coeffs = g.coeff_vector
-
-    def level(resolution):
-        _, tw, _, weights = half_grid_factors(n, resolution)
-        outer, inner = _basis_tables(n, resolution, d)
-        gv, radial, weighted = _work_arrays(3, tw.size, weights.size)
-        np.matmul(outer * coeffs, inner.T, out=gv)
-        worst = float(gv.min())
-        if worst <= floor:
-            raise NotInConeError(
-                f"g is not strictly positive on the sphere "
-                f"(sampled value {worst:.3e}); moments diverge"
-            )
-        totals = []
-        last_k = None
-        for k in degrees:
-            # a slice d above the last differs by a factor g^{-1}; one real
-            # pow, then divisions
-            if last_k == k - d:
-                np.divide(radial, gv, out=radial)
-            else:
-                np.power(gv, -(n + k) / d, out=radial)
-            last_k = k
-            if k == 0:
-                totals.append(np.array([float(tw @ (radial @ weights))]))
-                continue
-            outer, inner = _basis_tables(n, resolution, k)
-            totals.append(tw @ (np.multiply(radial, weights, out=weighted) @ inner * outer))
-        return totals, 2 * tw.size * weights.size
 
     def slicewise_ok(cur, prev):
         worst = max(float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(a))), 1e-300)
@@ -193,7 +214,7 @@ def _angular_integrals(g, degrees, hint=None):
         return scaled, {"points": count, "converged": converged, "last_delta": delta}
 
     if n == 1:
-        return result(*level(2), True, 0.0)
+        return result(*_level(g, degrees, 2, floor), True, 0.0)
 
     base = resolution_for_budget(n, START_POINTS)
     res = base
@@ -207,8 +228,14 @@ def _angular_integrals(g, degrees, hint=None):
             probe = True
     prev = None
     delta = np.inf
+    if n == 2 and grid_size(n, res * 2) <= MAX_POINTS:
+        # the grid of res is every other node of 2 res: one evaluation
+        # gives the first pair
+        res *= 2
+        totals, count, prev = _level(g, degrees, res, floor, nested=True)
+    else:
+        totals, count = _level(g, degrees, res, floor)
     while True:
-        totals, count = level(res)
         if prev is not None:
             ok, delta = slicewise_ok(totals, prev)
             if probe:       # the first pair decides the back-off
@@ -225,6 +252,7 @@ def _angular_integrals(g, degrees, hint=None):
                 hint["res"] = res
             return result(totals, count, False, delta)
         res *= 2
+        totals, count = _level(g, degrees, res, floor)
 
 
 def integral_exp(g, hint=None):

@@ -74,10 +74,11 @@ def test_symmetric_cloud_keeps_origin():
 
 
 def test_rho_matches_inner_objective():
+    # the cloud moved by a, shifted back by a, solves as the cloud itself
     pts = symmetric_cloud(4, n=2, m=8)
-    cs = ConstraintSet(pts)
-    base = solve_min_volume(cs, 2)
-    assert solve_min_volume(cs.shifted(np.zeros(2)), 2).objective == \
+    a = np.array([0.7, -0.3])
+    base = solve_min_volume(ConstraintSet(pts), 2)
+    assert solve_min_volume(ConstraintSet(pts + a).shifted(a), 2).objective == \
         pytest.approx(base.objective, rel=1e-9)
 
     cs_sq = ConstraintSet(SQUARE)
@@ -278,3 +279,65 @@ def test_solver_picks_contacts_near_the_optimal_center():
     assert fixed.kkt_residual <= 1e-8
     assert np.count_nonzero(fixed.multipliers) <= 3
     assert fixed.volume == pytest.approx(rep.volume, rel=1e-12)
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_duality_bound_stays_below_the_optimum(degree, monkeypatch):
+    # every bound the probe takes along a solve, at any iterate, is at
+    # most that solve's optimum; a bar the bound never reaches leaves the
+    # solve on the unbarred path, bit for bit
+    bounds = []
+    dual_bound = solver._dual_bound
+
+    def recorded(*args):
+        bounds.append(dual_bound(*args)[0])
+        return dual_bound(*args)
+
+    monkeypatch.setattr(solver, "_dual_bound", recorded)
+    rng = philox(60 + degree)
+    for seed in range(6):
+        cloud = seeded_cloud(70 + seed)
+        for a in (cloud.mean(axis=0), np.zeros(2), 3.0 * rng.normal(size=2)):
+            shifted = ConstraintSet(cloud).shifted(a)
+            bounds.clear()
+            barred = solver._solve_min_volume(shifted, degree, bar=1e300)
+            assert len(bounds) > barred.iterations
+            det_L = float(np.prod(np.diag(_whiten(shifted.points, "")[0])))
+            assert max(bounds) * det_L <= barred.objective * (1.0 + 1e-9)
+            assert barred.objective == solve_min_volume(shifted, degree).objective
+
+
+def test_pruning_never_drops_the_winner(monkeypatch):
+    # a joint center two scatter radii off the centroid loses to it: the
+    # centroid, solved with that bar, is never pruned, and wins with the
+    # plain solve's objective; the origin, far off, is pruned
+    def far_off(points, degree, tol=1e-8):
+        a = np.full(points.shape[1], 2.0)
+        return a, solver.initial_guess(points - a, degree), 1.0, 0, 0, 0.0
+
+    monkeypatch.setattr(centering, "_joint_path", far_off)
+    pts = philox(8).normal(size=(12, 2)) + np.array([4.0, -3.0])
+    cs = ConstraintSet(pts)
+    rep = solve_min_volume_centered(cs, 2)
+    assert rep.meta["chosen"] == "centroid" and rep.evaluations == 3
+    assert rep.inner.objective == \
+        solve_min_volume(cs.shifted(pts.mean(axis=0)), 2).objective
+    assert list(rep.meta["pruned"]) == ["origin"]
+    assert rep.meta["pruned"]["origin"]["bound"] > rep.inner.objective
+
+
+@pytest.mark.parametrize("case", list(RESUME_CASES))
+def test_pruned_candidates_lose(case):
+    # a pruned candidate's bound is above the winner's objective and below
+    # its own optimum, so its full solve would have lost
+    make, degree = RESUME_CASES[case]
+    cs = ConstraintSet(make())
+    rep = solve_min_volume_centered(cs, degree)
+    assert rep.evaluations == 3 and rep.meta["pruned"]
+    centers = {"centroid": cs.points.mean(axis=0), "origin": np.zeros(2)}
+    for name, cut in rep.meta["pruned"].items():
+        assert cut["bound"] > rep.inner.objective * (1.0 + 1e-9)
+        assert 0 < cut["steps"]
+        full = solve_min_volume(cs.shifted(centers[name]), degree)
+        assert full.objective >= cut["bound"] * (1.0 - 1e-9)
+        assert cut["steps"] < full.iterations

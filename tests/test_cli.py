@@ -242,15 +242,20 @@ def test_spatial_cloud_at_default_tolerances(tmp_path):
 
 def test_import_does_not_load_scipy():
     # scipy is imported inside the functions that need it, which keeps
-    # the command's start-up short; a fixed-center solve and its
-    # certificate need none of them
+    # the command's start-up short; a fixed-center solve, its certificate
+    # and a centered fit on native points need none of them, nor
+    # numpy.random or numpy.ma, whose first use costs about 14 and 12 ms
     src = str(Path(homfit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     script = (
         "import sys, homfit\n"
         "cs = homfit.ConstraintSet([[1, 0], [0, 1], [-1, 0], [0, -1]])\n"
         "homfit.build_certificate(homfit.solve_min_volume(cs, 2), cs)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        "cs = homfit.ConstraintSet([[0.3, 0.1], [2.0, 0.4], [0.5, 1.9],\n"
+        "                           [1.7, 2.2], [1.1, -0.8]])\n"
+        "homfit.solve_min_volume_centered(cs, 2)\n"
+        "print(sorted(m for m in sys.modules if m in ('numpy.random',\n"
+        "             'numpy.ma') or m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

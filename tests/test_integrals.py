@@ -21,8 +21,10 @@ from conftest import philox
 from homfit import (HomogeneousPoly, NotInConeError, integral_exp, integrals,
                     moment, moment_vector, volume_sublevel)
 from homfit.integrals import _angular_integrals, _basis_tables
-from homfit.polynomials import basis_for, compose_linear, monomial_matrix
-from homfit.spheres import grid_size, half_grid_factors, half_sphere_grid
+from homfit.polynomials import (basis_for, compose_linear, monomial_matrix,
+                                positivity_floor)
+from homfit.spheres import (grid_size, half_grid_factors, half_sphere_grid,
+                            resolution_for_budget)
 from homfit.verify import crosscheck_levelset_moment
 
 # scipy.integrate.quad oracles, frozen (see module docstring)
@@ -291,6 +293,44 @@ def test_level_on_work_arrays_matches_fresh_arrays(n, d, monkeypatch):
             outer, inner = _basis_tables(n, res, k)
             factor = math.gamma((n + k) / d) / d
             assert np.array_equal(got, factor * (tw @ ((radial * weights) @ inner * outer)))
+
+
+@pytest.mark.parametrize("g", [
+    GAUSS2,
+    compose_linear(QUARTIC2, np.array([[1.0, 0.3], [0.0, 1.0]])),
+    compose_linear(QUARTIC2, np.array([[1.0, 0.3], [0.0, 8.0]]))],
+    ids=["gauss", "quartic", "peaked"])
+def test_n2_ladder_pair_takes_one_level(g, monkeypatch):
+    # at n = 2 the coarse grid of a call's first pair is every other node
+    # of the fine one, so the pair is one level evaluation; the returned
+    # totals and points are those of the last two levels as a two-level
+    # pair computes them, bit for bit, and the delta moves only by the
+    # coarse sum's rounding.  The gauss call returns at its first pair
+    # (128 points), the others climb to 256 and 1024, one evaluation per
+    # level.
+    d = g.degree
+    degrees = [0, d, 2 * d]
+    level = integrals._level
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return level(*args, **kwargs)
+
+    monkeypatch.setattr(integrals, "_level", counted)
+    totals, info = _angular_integrals(g, degrees)
+    r = info["points"]
+    base = resolution_for_budget(2, integrals.START_POINTS)
+    assert calls == [base * 2 ** j for j in range(1, int(math.log2(r // base)) + 1)]
+    floor = positivity_floor(g)
+    coarse, _ = level(g, degrees, r // 2, floor)
+    fine, count = level(g, degrees, r, floor)
+    assert count == r and info["converged"]
+    for k, got, ref in zip(degrees, totals, fine):
+        assert np.array_equal(got, math.gamma((2 + k) / d) / d * ref)
+    delta = max(float(np.max(np.abs(a - b))) / float(np.max(np.abs(a)))
+                for a, b in zip(fine, coarse))
+    assert abs(info["last_delta"] - delta) <= 1e-15
 
 
 def test_vanishing_moment_converges_on_its_slice(monkeypatch):

@@ -357,11 +357,25 @@ def test_newton_step_escalates_the_ridge():
 
 
 def test_newton_step_falls_back_to_least_squares():
-    # negative definite: the ridge starts negative, restarts at 1e-300 and
-    # stays far below 1 for all twelve tries, so lstsq solves H s = -grad
-    hess, grad = -np.eye(2), np.array([1.0, -2.0])
+    # trace 1 but an eigenvalue near -1e12: the ridge climbs from 5e-13 to
+    # 5e9 in twelve tries and never factors, so lstsq solves H s = -grad,
+    # and its answer is kept only where it descends
+    hess = np.diag([1e12, -(1e12 - 1.0)])
+    grad = np.array([1.0, 0.0])
     step = solver._newton_step(hess, grad)
     assert np.array_equal(step, np.linalg.lstsq(hess, -grad, rcond=None)[0])
+    assert grad @ step < 0.0
+    grad = np.array([0.0, 1.0])     # lstsq gives +grad / (1e12 - 1): ascent
+    assert np.array_equal(solver._newton_step(hess, grad), -grad)
+
+
+def test_newton_step_descends_on_a_negative_trace_hessian():
+    # H = -I: the ridge starts at 1e-12 * max |diagonal| and factors at
+    # 1e-12 * 100^7 = 100, so the step is -grad / 99, a descent direction
+    hess, grad = -np.eye(2), np.array([1.0, -2.0])
+    step = solver._newton_step(hess, grad)
+    assert step == pytest.approx(-grad / (1e-12 * 100.0 ** 7 - 1.0), rel=1e-12)
+    assert grad @ step < 0.0
 
 
 @pytest.mark.parametrize("pts", [random_cloud(3, n=2, m=30),
