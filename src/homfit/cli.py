@@ -329,6 +329,3 @@ def _emit_error(kind, message):
 def main(argv=None):
     return run(build_parser().parse_args(argv))
 
-
-if __name__ == "__main__":
-    sys.exit(main())

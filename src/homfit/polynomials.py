@@ -336,54 +336,50 @@ def compose_linear(g, M):
 def min_on_sphere(g):
     """Minimum of g over the unit sphere, and a unit argmin.
 
-    A deterministic grid scan (about 1024 points for n = 2, 2048 for
-    n = 3, 4096 above) seeds a local descent of the scale-invariant
-    ratio g(x) / |x|^d; the returned value is the smaller of the two, so
-    it never exceeds the grid minimum.
+    A deterministic scan of half_sphere_grid (g is even, so its minimum is
+    the full grid's: about 1024 points for n = 2, 2048 for n = 3, 4096
+    above) seeds Newton on the sphere.  Each step takes the gradient and
+    Hessian H of g at u from one monomial_partials jet, the Riemannian
+    Hessian P (H - d g(u) I) P, P = I - u u^T, with its eigenvalues in
+    absolute value plus a 1e-12 ridge, and halves the step, at most 30
+    times, until g at the normalized trial falls; the descent stops when it
+    does not, after at most 100 steps.  The returned value never exceeds
+    the grid minimum.
 
     Returns
     -------
     (value, argmin) : (float, array of shape (n,))
     """
-    from .spheres import resolution_for_budget, sphere_grid
+    from .spheres import half_sphere_grid, resolution_for_budget
 
     if g.n == 1:
         # sphere is {-1, +1}; even degree makes both ends equal
         val = g(np.array([1.0]))
         return float(val), np.array([1.0])
 
-    budget = {2: 1024, 3: 2048}.get(g.n, 4096)
-    points, _ = sphere_grid(g.n, resolution_for_budget(g.n, budget))
+    n, d = g.n, g.degree
+    budget = {2: 1024, 3: 2048}.get(n, 4096)
+    points, _ = half_sphere_grid(n, resolution_for_budget(n, budget))
     values = g(points)
     k = int(np.argmin(values))
-    best_val = float(values[k])
-    best_arg = points[k]
-
-    d = g.degree
-
-    def ratio(x):
-        s2 = float(x @ x)
-        if s2 < 1e-16 or not np.isfinite(s2):
-            return np.inf
-        return g(x) / s2 ** (d / 2)
-
-    def ratio_grad(x):
-        s2 = float(x @ x)
-        if s2 < 1e-16 or not np.isfinite(s2):
-            return np.zeros_like(x)
-        gx = g(x)
-        return (g.gradient(x) - d * gx * x / s2) / s2 ** (d / 2)
-
-    from scipy.optimize import minimize
-
-    res = minimize(ratio, best_arg, jac=ratio_grad, method="BFGS",
-                   options={"maxiter": 60, "gtol": 1e-13})
-    if np.all(np.isfinite(res.x)) and np.isfinite(res.fun) and res.fun < best_val:
-        norm = float(np.linalg.norm(res.x))
-        if norm > 1e-8:
-            best_val = float(res.fun)
-            best_arg = res.x / norm
-    return best_val, np.asarray(best_arg, dtype=float)
+    val, u = float(values[k]), points[k]
+    jet = [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(n)]
+    for _ in range(100):
+        parts = monomial_partials(u[None], g.basis.exponents, jet)[0] @ g.coeff_vector
+        P = np.eye(n) - np.outer(u, u)
+        hess = P @ (parts[n:].reshape(n, n) - d * val * np.eye(n)) @ P
+        lam, vec = np.linalg.eigh(hess)
+        step = -P @ (vec @ ((vec.T @ (P @ parts[:n])) / (np.abs(lam) + 1e-12)))
+        for _ in range(30):
+            trial = (u + step) / np.linalg.norm(u + step)
+            trial_val = g(trial)
+            if trial_val < val:
+                break
+            step = 0.5 * step
+        else:
+            break
+        val, u = trial_val, trial
+    return val, np.array(u)
 
 
 def positivity_floor(g):

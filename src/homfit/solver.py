@@ -135,7 +135,7 @@ PRUNE_MARGIN = 1e-9          # relative lead of a pruning bound over its bar
 def _check_tolerance(tol):
     """ValueError unless the KKT tolerance tol lies in (0, 1)."""
     if not (0 < tol < 1):
-        raise ValueError("kkt_tolerance must be in (0, 1)")
+        raise ValueError("tol must be in (0, 1)")
 
 
 @dataclass
@@ -200,12 +200,12 @@ def _nnls(A, b):
     identical to it: twins' duals differ only by rounding, which must not
     pick the atom.  The fit stops when no dual is above roundoff,
     or when the least-squares fit gives the entering column no positive
-    weight after all.  The passive columns' QR factors are updated as a
-    column enters or leaves (_qr_insert, _qr_delete), never refactored.
+    weight after all.  Each change to the passive set takes the QR
+    factors of its columns afresh and solves R z = Q^T b.
     """
     x = np.zeros(A.shape[1])
     order = []                  # passive columns, in the order of Q's
-    Q, R = np.zeros((A.shape[0], 0)), np.zeros((0, 0))
+    Q = np.zeros((A.shape[0], 0))
     norms = np.linalg.norm(A, axis=0)
     eps = np.finfo(float).eps
     cut = max(A.shape) * eps * float(np.linalg.norm(norms))
@@ -221,9 +221,8 @@ def _nnls(A, b):
         j = int(np.argmax(dual))
         if dual[j] == -np.inf:
             break
-        j = int(np.flatnonzero((A == A[:, [j]]).all(axis=0))[0])
-        Q, R = _qr_insert(Q, R, A[:, j])
-        order.append(j)
+        order.append(int(np.flatnonzero((A == A[:, [j]]).all(axis=0))[0]))
+        Q, R = np.linalg.qr(A[:, order])
         z = np.linalg.solve(R, Q.T @ b)
         if z[-1] <= 0.0:
             break
@@ -234,40 +233,12 @@ def _nnls(A, b):
             hit = int(np.argmin(ratio))
             x[order] = old + ratio[hit] * (z - old)
             x[order[hit]] = 0.0
-            for k in np.flatnonzero(x[order] <= 0.0)[::-1]:
-                Q, R = _qr_delete(Q, R, k)
-                del order[k]
+            order = [k for k in order if x[k] > 0.0]
+            Q, R = np.linalg.qr(A[:, order])
             z = np.linalg.solve(R, Q.T @ b)
         x[:] = 0.0
         x[order] = z
     return x
-
-
-def _qr_insert(Q, R, a):
-    """QR factors of [Q R, a]: a is orthogonalized against Q twice
-    (classical Gram-Schmidt with one reorthogonalization)."""
-    c = Q.T @ a
-    w = a - Q @ c
-    c2 = Q.T @ w
-    w -= Q @ c2
-    rho = float(np.linalg.norm(w))
-    p = R.shape[0]
-    R_new = np.zeros((p + 1, p + 1))
-    R_new[:p, :p], R_new[:p, p], R_new[p, p] = R, c + c2, rho
-    return np.column_stack([Q, w / rho]), R_new
-
-
-def _qr_delete(Q, R, k):
-    """QR factors of Q R with column k removed: Givens rotations take the
-    Hessenberg rest back to triangular."""
-    R = np.delete(R, k, axis=1)
-    Q = Q.copy()
-    for i in range(k, R.shape[1]):
-        h = math.hypot(R[i, i], R[i + 1, i])
-        G = np.array([[R[i, i], R[i + 1, i]], [-R[i + 1, i], R[i, i]]]) / h
-        R[i:i + 2, i:] = G @ R[i:i + 2, i:]
-        Q[:, i:i + 2] = Q[:, i:i + 2] @ G.T
-    return Q[:, :-1], R[:-1]
 
 
 def _whiten(points, message):

@@ -1,5 +1,6 @@
 """End-to-end CLI: inputs, report schema, exit codes, contours."""
 
+import ast
 import csv
 import dataclasses
 import inspect
@@ -241,10 +242,10 @@ def test_spatial_cloud_at_default_tolerances(tmp_path):
 
 
 def test_import_does_not_load_scipy():
-    # scipy is imported inside the functions that need it, which keeps
-    # the command's start-up short; a fixed-center solve, its certificate
-    # and a centered fit on native points need none of them, nor
-    # numpy.random or numpy.ma, whose first use costs about 14 and 12 ms
+    # homfit needs numpy alone (test_no_module_imports_scipy); a
+    # fixed-center solve, its certificate and a centered fit on native
+    # points load neither numpy.random nor numpy.ma, whose first use costs
+    # about 14 and 12 ms of the command's start-up
     src = str(Path(homfit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     script = (
@@ -259,6 +260,41 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy():
+    # numpy is the only run-time dependency: no import statement under
+    # src/homfit names scipy, nor does a string argument such as
+    # __import__("scipy") or import_module("scipy.optimize")
+    for path in Path(homfit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+                names = [str(node.args[0].value)]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), path.name
+
+
+def _python_m_homfit(*args):
+    src = str(Path(homfit.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "homfit", *map(str, args)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+
+
+def test_python_m_homfit(disk_csv, tmp_path):
+    ok = _python_m_homfit(disk_csv)
+    assert ok.returncode == 0
+    _, payload, _ = run_job(tmp_path, [disk_csv])
+    assert json.loads(ok.stdout) == payload
+    bad = _python_m_homfit(disk_csv, "--degree", "3")
+    assert bad.returncode == 2 and bad.stdout == ""
+    err = json.loads(bad.stderr)["error"]
+    assert err["type"] == "parse" and "even" in err["message"]
 
 
 def test_oracle_error_goes_into_the_report(disk_csv, tmp_path, monkeypatch):

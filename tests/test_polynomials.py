@@ -1,9 +1,12 @@
 """Multi-index order, polynomial evaluation, and cone membership."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from conftest import philox
 from homfit import (HomogeneousPoly, KDescription, NotInConeError,
@@ -12,6 +15,7 @@ from homfit.polynomials import (_format_key, _parse_key, basis_for,
                                 check_in_cone, monomial_matrix,
                                 monomial_partials, positivity_floor,
                                 power_matrix)
+from homfit.spheres import resolution_for_budget, sphere_grid
 
 
 def test_multiindex_degree_and_keys():
@@ -156,6 +160,70 @@ def test_min_on_sphere_values():
     val, arg = min_on_sphere(q)
     assert val == pytest.approx(0.5, abs=1e-9)
     assert abs(abs(arg[0]) - abs(arg[1])) < 1e-4
+
+
+def _cone_member(rng, n, d):
+    """Weighted d-th powers of random unit directions, plus coefficient
+    noise, plus c * sum x_i^d with c above the noise's bound on the sphere
+    (|x^a| <= 1 there, and sum x_i^d >= n^(1 - d/2))."""
+    basis = basis_for(n, d)
+    dirs = rng.normal(size=(int(rng.integers(1, n + 2)), n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    multinomial = np.array([math.factorial(d) / math.prod(map(math.factorial, a))
+                            for a in basis])
+    powers = rng.uniform(0.2, 1.0, size=len(dirs)) @ (
+        monomial_matrix(dirs, basis.exponents) * multinomial)
+    noise = rng.normal(scale=0.01 / len(basis), size=len(basis))
+    c = rng.uniform(0.05, 0.5) + n ** (d / 2 - 1) * float(np.sum(np.abs(noise)))
+    return (HomogeneousPoly(n, d, powers + noise)
+            + HomogeneousPoly.sum_of_powers(n, d) * c)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_min_on_sphere_beats_grid_and_bfgs(n, d):
+    # five cone members per (n, d): the minimum is no larger than the full
+    # grid's at the same budget, nor than BFGS's on g(x) / |x|^d from the
+    # grid's argmin, and it is attained at a unit argmin
+    points, _ = sphere_grid(n, resolution_for_budget(n, {2: 1024, 3: 2048}.get(n, 4096)))
+    for seed in range(5):
+        g = _cone_member(philox(1000 * n + 10 * d + seed), n, d)
+        top = float(np.max(np.abs(g.coeff_vector)))
+        val, arg = min_on_sphere(g)
+        grid = g(points)
+
+        def ratio(x):       # g(x) / |x|^d and its gradient
+            s2 = float(x @ x)
+            return g(x) / s2 ** (d / 2), (g.gradient(x) - d * g(x) * x / s2) / s2 ** (d / 2)
+
+        res = minimize(ratio, points[int(np.argmin(grid))], jac=True, method="BFGS",
+                       options={"maxiter": 60, "gtol": 1e-13})
+        assert val <= float(np.min(grid))
+        assert val <= res.fun + 1e-12 * top
+        assert abs(np.linalg.norm(arg) - 1.0) <= 1e-12
+        assert g(arg) == pytest.approx(val, abs=1e-12)
+
+
+def _rotation(n, angle):
+    """Rotation by `angle` in the plane of the last two coordinates."""
+    R = np.eye(n)
+    c, s = math.cos(angle), math.sin(angle)
+    R[-2:, -2:] = [[c, -s], [s, c]]
+    return R
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_min_on_sphere_off_the_grid(n):
+    # the quartic star x^2 y^2 + 0.1 (x^4 + y^4), and its 3-D analogue
+    # sum_(i<j) x_i^2 x_j^2 + 0.1 sum x_i^4, rotated so that no grid node
+    # sits on a minimizing axis; the grid alone reads 0.1000006 and 0.1001
+    star = {2: {(2, 2): 1.0, (4, 0): 0.1, (0, 4): 0.1},
+            3: {(2, 2, 0): 1.0, (2, 0, 2): 1.0, (0, 2, 2): 1.0,
+                (4, 0, 0): 0.1, (0, 4, 0): 0.1, (0, 0, 4): 0.1}}[n]
+    g = compose_linear(HomogeneousPoly(n, 4, star), _rotation(n, 0.3 * math.sqrt(2)))
+    val, arg = min_on_sphere(g)
+    assert val == pytest.approx(0.1, abs=1e-12)
+    assert g(arg) == pytest.approx(val, abs=1e-12)
 
 
 def test_cone_closure_under_convex_combination():

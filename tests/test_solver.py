@@ -161,9 +161,9 @@ def test_warm_start_and_validation(disk4):
         solve_min_volume(disk4, 2, resume=(rep.g_star, 0.0))
     with pytest.raises(ValueError):
         solve_min_volume(disk4, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tol must be in \(0, 1\)"):
         solve_min_volume(disk4, 2, tol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tol must be in \(0, 1\)"):
         solve_min_volume_centered(disk4, 2, tol=1.0)
 
 
