@@ -43,7 +43,7 @@ from .polynomials import (HomogeneousPoly, basis_for, compose_linear,
                           monomial_partials)
 from .solver import (BARRIER_MULTIPLIER, BARRIER_T0, SolveReport, _Pruned,
                      _barrier_path, _check_tolerance, _solve_min_volume,
-                     _whiten, initial_guess, solve_min_volume)
+                     _whiten, initial_guess)
 
 __all__ = ["CenteredSolveReport", "solve_min_volume_centered"]
 
@@ -80,7 +80,8 @@ def _solve_at(cs, a, degree, tol, resume=None, bar=np.inf):
     resume = (g, t) if given, then cold if that fails.  The solver picks
     the contacts itself, points just inside the boundary included, so a
     cold failure is final.  A finite bar lets the solve stop once it
-    proves its optimum above bar (solver._solve_min_volume).
+    proves its optimum above bar; an infinite one runs solve_min_volume's
+    path bit for bit (solver._solve_min_volume).
 
     Returns (objective, report, solves run), (+inf, error, solves run)
     when the shifted problem has no solve, or (lower bound, _Pruned,
@@ -90,10 +91,7 @@ def _solve_at(cs, a, degree, tol, resume=None, bar=np.inf):
     starts = [resume, None] if resume is not None else [None]
     for solves, start in enumerate(starts, start=1):
         try:
-            if bar < np.inf:
-                report = _solve_min_volume(shifted, degree, tol, start, bar)
-            else:
-                report = solve_min_volume(shifted, degree, tol, start)
+            report = _solve_min_volume(shifted, degree, tol, start, bar)
             return report.objective, report, solves
         except _Pruned as cut:
             return cut.bound, cut, solves

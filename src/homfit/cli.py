@@ -29,7 +29,8 @@ import numpy as np
 from . import integrals
 from .centering import solve_min_volume_centered
 from .certificate import build_certificate
-from .constraints import KDescription, inclusion_check, to_constraints
+from .constraints import (ConstraintSet, KDescription, inclusion_check,
+                          to_constraints)
 from .errors import (CertificateError, ConvergenceError, DegenerateInputError,
                      EmptySetError, NotInConeError)
 from .oracle import mvee_symmetric
@@ -72,10 +73,9 @@ def build_parser():
 
 
 def load_description(path):
-    """Parse the input file into a KDescription.
-
-    CSV means native points.  JSON may carry 'points' or 'semialgebraic'.
-    Raises ValueError on anything malformed.
+    """Parse the input file into K: a ConstraintSet for CSV or JSON
+    'points', a KDescription for JSON 'semialgebraic'.  Raises ValueError
+    on anything malformed.
     """
     p = Path(path)
     if not p.exists():
@@ -93,7 +93,7 @@ def load_description(path):
             raise ValueError("JSON input must be an object")
         if "points" in payload:
             try:
-                return KDescription.from_points(payload["points"])
+                return ConstraintSet(payload["points"])
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad point list: {exc}") from exc
         if "semialgebraic" in payload:
@@ -101,7 +101,7 @@ def load_description(path):
             if not isinstance(semi, dict) or "inequalities" not in semi or "box" not in semi:
                 raise ValueError("semialgebraic input needs 'inequalities' and 'box'")
             try:
-                return KDescription.semialgebraic(semi["inequalities"], semi["box"])
+                return KDescription(semi["inequalities"], semi["box"])
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad semialgebraic description: {exc}") from exc
         raise ValueError("JSON input needs 'points' or 'semialgebraic'")
@@ -123,7 +123,7 @@ def load_description(path):
     width = len(lines[0][1])
     if any(len(cells) != width for _, cells in lines):
         raise ValueError(f"{path}: rows have inconsistent dimension")
-    return KDescription.from_points(values.reshape(len(lines), width))
+    return ConstraintSet(values.reshape(len(lines), width))
 
 
 def _q_matrix_from_coeffs(g):

@@ -1,12 +1,12 @@
-"""Compact-set descriptions and their reduction to finite constraint sets.
+"""Compact sets K and their reduction to finite constraint sets.
 
-A set K is given either natively as a finite point list, or as a basic
-semialgebraic description {x in box : w_j(x) >= 0 for all j} with general
-(not necessarily homogeneous) polynomial inequalities.  Semialgebraic
-descriptions are discretized by seeded rejection sampling inside the box,
-then every sample is pushed, all in one array pass, to the boundary of its
-most binding inequality (the boundary is where enclosing constraints end
-up active, so those points matter most).
+A finite K is its ConstraintSet.  A basic semialgebraic K is a
+KDescription {x in box : w_j(x) >= 0 for all j} with general (not
+necessarily homogeneous) polynomial inequalities, discretized by seeded
+rejection sampling inside the box; then every sample is pushed, all in
+one array pass, to the boundary of its most binding inequality (the
+boundary is where enclosing constraints end up active, so those points
+matter most).
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ class _PolyIneq:
         self.n = n
         self.exponents = np.array(exps, dtype=np.int64)
         self.coeffs = np.array(coeffs)
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError("inequality coefficients must be finite")
 
     def __call__(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -49,24 +51,10 @@ class _PolyIneq:
 
 
 class KDescription:
-    """The compact set to enclose: finite points, or inequalities in a box."""
+    """A basic semialgebraic set {x in box : w_j(x) >= 0 for all j}; a
+    finite K is its ConstraintSet."""
 
-    def __init__(self, points=None, inequalities=None, box=None):
-        if points is not None:
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            if pts.size == 0:
-                raise ValueError("point list is empty")
-            if pts.ndim != 2:
-                raise ValueError("points must be an (m, n) array")
-            if not np.all(np.isfinite(pts)):
-                raise ValueError("points must be finite")
-            self.points = pts
-            self.inequalities = None
-            self.box = None
-            self.n = pts.shape[1]
-            return
-        if inequalities is None or box is None:
-            raise ValueError("need either points, or inequalities together with a box")
+    def __init__(self, inequalities, box):
         box = np.asarray(box, dtype=float)
         if box.ndim != 2 or box.shape[1] != 2:
             raise ValueError("box must be an (n, 2) array of [lo, hi] rows")
@@ -75,27 +63,12 @@ class KDescription:
         if not np.all(np.isfinite(width)) or not np.all(width > 0):
             raise ValueError("box rows must have lo < hi and a finite width")
         self.n = box.shape[0]
-        self.points = None
         self.box = box
         self.inequalities = [_PolyIneq(m, self.n) for m in inequalities]
         if not self.inequalities:
             raise ValueError("semialgebraic description needs at least one inequality")
 
-    @classmethod
-    def from_points(cls, points):
-        return cls(points=points)
-
-    @classmethod
-    def semialgebraic(cls, inequalities, box):
-        return cls(inequalities=inequalities, box=box)
-
-    @property
-    def is_native(self):
-        return self.points is not None
-
     def __repr__(self):
-        if self.is_native:
-            return f"KDescription({self.points.shape[0]} points, n={self.n})"
         return f"KDescription({len(self.inequalities)} inequalities in a box, n={self.n})"
 
 
@@ -108,9 +81,11 @@ class ConstraintSet:
     def __init__(self, points, provenance="native"):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.size == 0:
-            raise ValueError("constraint set is empty")
+            raise ValueError("point list is empty")
+        if pts.ndim != 2:
+            raise ValueError("points must be an (m, n) array")
         if not np.all(np.isfinite(pts)):
-            raise ValueError("constraint points must be finite")
+            raise ValueError("points must be finite")
         self.points = _dedup(pts)
         self.points.setflags(write=False)
         self.provenance = provenance
@@ -137,22 +112,21 @@ def _dedup(points, resolution=1e-12):
 
 
 def to_constraints(k, budget=2000, seed=0):
-    """Discretize a set description into solver constraints.
+    """Discretize K into solver constraints.
 
-    Native point lists pass straight through (deduplicated).  For
-    semialgebraic descriptions, rejection sampling inside the box keeps
-    points satisfying every inequality until `budget` are found; each
-    accepted point then contributes a companion pushed to the boundary of
-    its most binding inequality by bracketing plus five bisection steps,
-    all samples in lockstep.  Deterministic for a given (description,
-    budget, seed).
+    A ConstraintSet passes straight through.  For a KDescription,
+    rejection sampling inside the box keeps points satisfying every
+    inequality until `budget` are found; each accepted point then
+    contributes a companion pushed to the boundary of its most binding
+    inequality by bracketing plus five bisection steps, all samples in
+    lockstep.  Deterministic for a given (description, budget, seed).
 
     Raises EmptySetError if 100 * budget draws produce no acceptance.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if k.is_native:
-        return ConstraintSet(k.points, provenance="native")
+    if isinstance(k, ConstraintSet):
+        return k
 
     rng = np.random.Generator(np.random.Philox(int(seed)))
     lo, hi = k.box[:, 0], k.box[:, 1]
@@ -244,10 +218,10 @@ def inclusion_check(g, center, k, audit_budget=4000, seed=1):
     """Largest value of g(x - center) - 1 over an audit sample of K.
 
     Nonpositive max_violation (up to tolerance) certifies that the audit
-    sample is enclosed.  Native descriptions are audited on all their
-    points; semialgebraic ones on a fresh sample drawn with `seed`.
+    sample is enclosed.  A ConstraintSet is audited on all its points, a
+    KDescription on a fresh sample drawn with `seed`.
     """
-    if k.is_native:
+    if isinstance(k, ConstraintSet):
         sample = k.points
     else:
         sample = to_constraints(k, budget=audit_budget, seed=seed).points

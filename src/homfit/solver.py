@@ -72,19 +72,19 @@ Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
 5.4).  The objective Hessian I_{a+b} needs the 2d moment slice, at n = 3,
 d = 4 about 4.3 times the cost of the degree-d slice, yet it only steers
 the step.  So a step may keep the objective Hessian of the stage's last
-full evaluation for up to CHORD_REUSES further steps, each only while the
-previous step's decrement fell below CHORD_DECREMENT times the one
-before; a stage's first step takes a full one, and the barrier term
-(D / s^2)^T D is rebuilt every step.  The gradient -I_a stays exact, so a
-kept step is zero exactly where Newton's is: the point the stage
-converges to does not move, only the path to it and, through the kept
-Hessian's decrement, where a loose stage stops, which no one reads.
+full evaluation for up to CHORD_REUSES further steps; a stage's first
+step takes a full one, and the barrier term (D / s^2)^T D is rebuilt
+every step.  The gradient -I_a stays exact, so a kept step is zero
+exactly where Newton's is: the point the stage converges to does not
+move, only the path to it and, through the kept Hessian's decrement,
+where a loose stage stops, which no one reads.
 Stages that can yield take full Hessians, and so does the joint (g, a)
 path, whose eigenvalue flip needs the current one.  When the next step
 will keep the Hessian, the line search's trials ask for the degree-d
-slice along with the mass (moment_vector without the 2d slice, on the
-trials' ladder memory); the accepted trial's moments are that step's
-gradient, so a kept step costs no quadrature beyond its line search.
+slice along with the mass (moment_vector without the 2d slice); the
+accepted trial's moments are that step's gradient, so a kept step costs
+no quadrature beyond its line search.  Steps and trials share one ladder
+memory, the integrals module's hint.
 At n = 2 the 2d slice has 2d + 1 columns, the degree-d slice d + 1, and
 the steps a kept Hessian adds cost more than it saves: on a 2-core x86
 box a prototype made the planar and centered benchmark suites slower,
@@ -126,7 +126,6 @@ BACKTRACK_RATIO = 0.5
 PHI_ROUNDING = 1e-15         # relative rounding of Phi_t (module docstring)
 LOOSE_DECREMENT = 0.5        # stop of stages whose point goes unread
 CHORD_REUSES = 2             # steps that keep an objective Hessian (n >= 3)
-CHORD_DECREMENT = 0.5        # ... while each decrement falls below this share
 FEASIBILITY_MARGIN = 0.01    # initial-guess headroom
 ACTIVITY_TOL = 1e-6          # first contact cut: slacks at or below it
 PRUNE_MARGIN = 1e-9          # relative lead of a pruning bound over its bar
@@ -458,7 +457,8 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
     ConvergenceError, its message `label` + reason + context(), when
     MAX_NEWTON_ITERS or MAX_STAGES runs out.  probe, if given, is called
     as probe(t, y0, s, moment vector) at every derivative evaluation and
-    may end the path by raising (_duality_probe).
+    may end the path by raising (_duality_probe).  Every quadrature on the
+    path, steps and line-search trials alike, climbs from one ladder hint.
     """
     size = len(basis_for(n, degree))
     s0, _, curvature = slacks(x, True)
@@ -472,7 +472,6 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
     loose = unread if curvature is None else None
     chord = loose is not None and n >= 3
     hint = {}
-    hint_phi = {}     # separate ladder memory: phi needs only the mass slice
     kept = {}         # last full objective Hessian, last fused trial's moments
 
     def derivatives(x, t, reuse):
@@ -507,10 +506,10 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
         g = HomogeneousPoly(n, degree, x[:size])
         try:
             if fuse:        # also the gradient moments, for a reused step
-                mv = moment_vector(g, hint=hint_phi)
+                mv = moment_vector(g, hint=hint)
                 kept["moments"], y0 = mv, mv.y0
             else:
-                y0 = integral_exp(g, hint=hint_phi)
+                y0 = integral_exp(g, hint=hint)
         except NotInConeError:
             return np.inf
         return t * y0 - float(np.sum(np.log(s)))
@@ -543,8 +542,7 @@ def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None,
     gradient moments at x, and derivatives(x, t, True) at that accepted
     trial x returns its exact gradient with the objective Hessian of the
     last full evaluation (module docstring); a step keeps it only where
-    loose(t, y0) holds, after a full step, for at most CHORD_REUSES steps,
-    and while the decrement falls below CHORD_DECREMENT times the last one.
+    loose(t, y0) holds, after a full step, for at most CHORD_REUSES steps.
     An indefinite Hessian is made positive definite by the escalating ridge
     of _newton_step, so every step is a descent direction.  Stops on the
     scale-aware decrement test, at decrement LOOSE_DECREMENT where
@@ -558,7 +556,7 @@ def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None,
     Returns (x, steps taken, derivatives(x, t) at the returned x).
     """
     best_dec2, stall, steps = np.inf, 0, 0
-    reuse, reused, last_dec2 = False, 0, np.inf
+    reuse, reused = False, 0
     for _ in range(budget):
         state = derivatives(x, t, reuse)
         y0, phi0, grad, hess = state[:4]
@@ -576,9 +574,7 @@ def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None,
                 break
         if chord:       # does the next step keep this objective Hessian?
             reused = reused + 1 if reuse else 0
-            reuse = (reused < CHORD_REUSES and loose(t, y0)
-                     and dec2 < CHORD_DECREMENT * last_dec2)
-            last_dec2 = dec2
+            reuse = reused < CHORD_REUSES and loose(t, y0)
 
         armijo = ARMIJO_SLOPE * (grad @ step)
         floor = PHI_ROUNDING * abs(phi0)

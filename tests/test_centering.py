@@ -19,7 +19,7 @@ PI = math.pi
 SQUARE = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
 
 # 1 + x - x^2 - 4y^2 >= 0: the ellipse (x - 1/2)^2 + 4y^2 <= 5/4
-OFFSET_ELLIPSE = KDescription.semialgebraic(
+OFFSET_ELLIPSE = KDescription(
     [{"0,0": 1.0, "1,0": 1.0, "2,0": -1.0, "0,2": -4.0}],
     [[-1.0, 2.0], [-1.0, 1.0]])
 
@@ -231,13 +231,13 @@ def test_joint_center_solve_resumes(case, monkeypatch):
     make, degree = RESUME_CASES[case]
     resumed = []
 
-    def record(shifted, deg, tol=1e-8, resume=None):
-        report = solve_min_volume(shifted, deg, tol, resume)
+    def record(shifted, deg, tol=1e-8, resume=None, bar=np.inf):
+        report = solver._solve_min_volume(shifted, deg, tol, resume, bar)
         if resume is not None:
             resumed.append((shifted, resume, report))
         return report
 
-    monkeypatch.setattr(centering, "solve_min_volume", record)
+    monkeypatch.setattr(centering, "_solve_min_volume", record)
     rep = solve_min_volume_centered(ConstraintSet(make()), degree)
     assert rep.evaluations == 3 and len(resumed) == 1
     shifted, (_, t0), warm = resumed[0]
@@ -253,12 +253,12 @@ def test_joint_center_solve_resumes(case, monkeypatch):
 
 @pytest.mark.parametrize("error", [ConvergenceError, NotInConeError])
 def test_resume_failure_falls_back_to_cold(error, monkeypatch):
-    def fail_resumed(shifted, degree, tol=1e-8, resume=None):
+    def fail_resumed(shifted, degree, tol=1e-8, resume=None, bar=np.inf):
         if resume is not None:
             raise error("resumed solve failed")
-        return solve_min_volume(shifted, degree, tol)
+        return solver._solve_min_volume(shifted, degree, tol, None, bar)
 
-    monkeypatch.setattr(centering, "solve_min_volume", fail_resumed)
+    monkeypatch.setattr(centering, "_solve_min_volume", fail_resumed)
     pts = philox(8).normal(size=(12, 2)) + np.array([1.5, -0.5])
     cs = ConstraintSet(pts)
     rep = solve_min_volume_centered(cs, 2)

@@ -132,6 +132,21 @@ def test_malformed_input_exit2(case, disk_csv, tmp_path, capsys, monkeypatch):
     assert err["error"]["type"] == "parse" and err["error"]["message"]
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_nonfinite_inequality_coefficient_exit2(value, tmp_path, capsys):
+    # a NaN once exhausted the draws (exit 3), an infinity passed the audit
+    # (exit 0): the boundary push dropped every row on its NaN gradient
+    job = tmp_path / "disk.json"
+    job.write_text('{"semialgebraic": {"inequalities": [{"0,0": %s, "2,0": -1, '
+                   '"0,2": -1}], "box": [[-1.5, 1.5], [-1.5, 1.5]]}}' % value)
+    assert main([str(job), "--budget", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "type": "parse", "message": "bad semialgebraic description: "
+                                    "inequality coefficients must be finite"}
+
+
 def test_settings_are_module_constants(disk_csv, tmp_path):
     assert "SolverConfig" not in homfit.__all__
     assert not hasattr(homfit, "SolverConfig")

@@ -11,7 +11,7 @@ from homfit import constraints
 from homfit.constraints import _push_to_boundary
 from homfit.polynomials import monomial_partials
 
-DISK = KDescription.semialgebraic(
+DISK = KDescription(
     inequalities=[{"0,0": 1.0, "2,0": -1.0, "0,2": -1.0}],   # 1 - x^2 - y^2 >= 0
     box=[[-2.0, 2.0], [-2.0, 2.0]],
 )
@@ -19,10 +19,9 @@ DISK = KDescription.semialgebraic(
 
 def test_native_points_pass_through():
     pts = [[1, 0], [0, 1], [-1, 0], [0, -1]]
-    k = KDescription.from_points(pts)
-    assert k.is_native
+    k = ConstraintSet(pts)
     cs = to_constraints(k, budget=10, seed=0)
-    assert cs.provenance == "native"
+    assert cs is k and cs.provenance == "native"
     assert np.allclose(cs.points, np.asarray(pts, dtype=float))
 
 
@@ -33,10 +32,13 @@ def test_dedup_and_validation():
         ConstraintSet(np.zeros((0, 2)))
     with pytest.raises(ValueError):
         ConstraintSet([[np.inf, 0.0]])
+    # a 3-D array once built, and the solver died unpacking its shape
+    with pytest.raises(ValueError, match=r"points must be an \(m, n\) array"):
+        ConstraintSet(np.ones((3, 2, 2)))
     with pytest.raises(ValueError):
-        KDescription.semialgebraic(inequalities=[], box=[[-1, 1]])
+        KDescription(inequalities=[], box=[[-1, 1]])
     with pytest.raises(ValueError):
-        KDescription.semialgebraic(inequalities=[{"2,0": 1.0}], box=[[1, -1], [0, 1]])
+        KDescription(inequalities=[{"2,0": 1.0}], box=[[1, -1], [0, 1]])
 
 
 def test_rejection_sampling_respects_inequalities():
@@ -64,7 +66,7 @@ def test_boundary_push_reaches_the_edge():
 
 
 def test_empty_set_raises():
-    impossible = KDescription.semialgebraic(
+    impossible = KDescription(
         inequalities=[{"0,0": -1.0, "2,0": -1.0, "0,2": -1.0}],  # -1 - x^2 - y^2
         box=[[-1.0, 1.0], [-1.0, 1.0]],
     )
@@ -84,11 +86,11 @@ def test_discretization_monotonicity():
 
 def test_inclusion_check_native():
     g = HomogeneousPoly(2, 2, {(2, 0): 1.0, (0, 2): 1.0})
-    k = KDescription.from_points([[1, 0], [0, 1], [-1, 0], [0, -1]])
+    k = ConstraintSet([[1, 0], [0, 1], [-1, 0], [0, -1]])
     audit = inclusion_check(g, None, k)
     assert audit.max_violation == pytest.approx(0.0, abs=1e-12)
 
-    k2 = KDescription.from_points([[2.0, 0.0]])
+    k2 = ConstraintSet([[2.0, 0.0]])
     audit = inclusion_check(g, None, k2)
     assert audit.max_violation == pytest.approx(3.0, abs=1e-12)
     assert np.allclose(audit.witness, [2.0, 0.0])
@@ -103,7 +105,7 @@ def test_inclusion_check_semialgebraic():
 
 def test_inclusion_check_with_center():
     g = HomogeneousPoly(2, 2, {(2, 0): 1.0, (0, 2): 1.0})
-    shifted = KDescription.from_points([[6.0, -2.0]])
+    shifted = ConstraintSet([[6.0, -2.0]])
     audit = inclusion_check(g, np.array([5.0, -2.0]), shifted)
     assert audit.max_violation == pytest.approx(0.0, abs=1e-12)
 
@@ -153,18 +155,18 @@ def _push_by_loop(k, points):
     return np.array(out) if out else np.zeros((0, points.shape[1]))
 
 
-OFFSET_ELLIPSE = KDescription.semialgebraic(
+OFFSET_ELLIPSE = KDescription(
     inequalities=[{"0,0": 1.0, "1,0": 1.0, "2,0": -1.0, "0,2": -4.0}],
     box=[[-1.0, 2.0], [-1.0, 1.0]],
 )
 # the unit disk cut by 5 - 10x >= 0: rows near the chord bind on the line,
 # and rows binding on the circle whose push ends past x = 0.5 are filtered
-CHORD_DISK = KDescription.semialgebraic(
+CHORD_DISK = KDescription(
     inequalities=[{"0,0": 1.0, "2,0": -1.0, "0,2": -1.0}, {"0,0": 5.0, "1,0": -10.0}],
     box=[[-1.5, 1.5], [-1.5, 1.5]],
 )
 # the box cuts the disk, so brackets that walk out through its sides break
-CUT_DISK = KDescription.semialgebraic(
+CUT_DISK = KDescription(
     inequalities=[{"0,0": 1.0, "2,0": -1.0, "0,2": -1.0}],
     box=[[-0.6, 0.6], [-2.0, 2.0]],
 )

@@ -31,7 +31,7 @@ BAD_KEYS = [(2.7, 0), (1.5, 0.5), "2.5,0", (-2, 4)]
 ENTRY_POINTS = {
     "poly": lambda key: HomogeneousPoly(2, 2, {key: 1.0, (0, 2): 1.0}),
     "moment": lambda key: moment(HomogeneousPoly.sum_of_powers(2, 2), key),
-    "semialgebraic": lambda key: KDescription.semialgebraic(
+    "semialgebraic": lambda key: KDescription(
         [{key: -1.0, (0, 0): 1.0}], box=[[-2, 2], [-2, 2]]),
 }
 

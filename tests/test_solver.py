@@ -459,3 +459,26 @@ def test_loose_tolerance_returns(case, tol):
     assert rep.kkt_residual <= tol
     tight = solve_min_volume(cs, degree)
     assert abs(rep.volume - tight.volume) <= tol * tight.volume
+
+
+def test_volume_does_not_grow_with_the_degree():
+    # g^2 is feasible at degree 2d with the same sublevel set, so the
+    # optimal volume at 2d is at most that at d; d = 8 stalls on some of
+    # the n = 2 clouds, and those pairs are skipped
+    def volume(pts, degree):
+        try:
+            return solve_min_volume(ConstraintSet(pts), degree).volume
+        except ConvergenceError:
+            return None
+
+    checked = 0
+    for n, m, seeds, degrees in [(2, 60, range(12), (2, 4, 8)),
+                                 (3, 20, range(4), (2, 4))]:
+        for seed in seeds:
+            pts = symmetric_cloud(seed, n=n, m=m)
+            volumes = [volume(pts, degree) for degree in degrees]
+            for low, high in zip(volumes, volumes[1:]):
+                if low is not None and high is not None:
+                    assert high <= low * (1.0 + 1e-9)
+                    checked += 1
+    assert checked >= 20
