@@ -105,6 +105,14 @@ def load_description(path):
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad semialgebraic description: {exc}") from exc
         raise ValueError("JSON input needs 'points' or 'semialgebraic'")
+    if text.strip():    # numpy's C parser; the cell loop names what it rejects
+        try:
+            values = np.loadtxt(text.splitlines(), delimiter=",", ndmin=2,
+                                comments=None)
+        except ValueError:
+            pass
+        else:
+            return ConstraintSet(values)
     lines = []
     for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
         cells = [c.strip() for c in row if c.strip()]

@@ -86,7 +86,7 @@ class ConstraintSet:
             raise ValueError("points must be an (m, n) array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        self.points = _dedup(pts)
+        self.points = pts[_distinct_rows(pts)[0]]
         self.points.setflags(write=False)
         self.provenance = provenance
         self.n = self.points.shape[1]
@@ -104,11 +104,17 @@ class ConstraintSet:
         return f"ConstraintSet({len(self)} points, n={self.n}, {self.provenance!r})"
 
 
-def _dedup(points, resolution=1e-12):
+def _distinct_rows(points, mirror=False, resolution=1e-12):
+    """Rows that agree to resolution * max(|points|, 1), and with mirror
+    also x and -x, are one point.  Returns the first row of each point,
+    in input order, and for every row the position of its first row."""
     scale = max(float(np.max(np.abs(points))), 1.0)
     keys = np.round(points / (resolution * scale)).astype(np.int64)
-    _, keep = np.unique(keys, axis=0, return_index=True)
-    return points[np.sort(keep)].copy()
+    if mirror:      # the first nonzero entry positive
+        keys[keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)] < 0] *= -1
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    rows = np.sort(first)
+    return rows, np.searchsorted(rows, first)[inverse.reshape(-1)]
 
 
 def to_constraints(k, budget=2000, seed=0):

@@ -140,7 +140,8 @@ def _work_arrays(count, rows, cols):
 def _level(g, degrees, resolution, floor, nested=False):
     """One level of the ladder: the unscaled slice totals of the degrees in
     `degrees` on the half grid of `resolution`, and its full point count.
-    NotInConeError if g falls to `floor` at a node.
+    NotInConeError if g falls to `floor` at a node.  At n <= 2 the outer
+    factor is one node, t = 0, so the sums skip its products.
 
     With nested (n = 2 only) it also returns the totals of the half grid
     of resolution / 2: its nodes are this grid's even ones, bit for bit
@@ -148,11 +149,14 @@ def _level(g, degrees, resolution, floor, nested=False):
     doubled weights, so they are the even nodes' sums, doubled.
     """
     n, d = g.n, g.degree
+    flat = n <= 2       # outer is ones and tw is [1]: one row, no products
     coeffs = g.coeff_vector
     _, tw, _, weights = half_grid_factors(n, resolution)
     outer, inner = _basis_tables(n, resolution, d)
     gv, radial, weighted = _work_arrays(3, tw.size, weights.size)
-    np.matmul(outer * coeffs, inner.T, out=gv)
+    if flat:
+        gv, radial, weighted = gv[0], radial[0], weighted[0]
+    np.matmul(coeffs if flat else outer * coeffs, inner.T, out=gv)
     worst = float(gv.min())
     if worst <= floor:
         raise NotInConeError(
@@ -170,14 +174,16 @@ def _level(g, degrees, resolution, floor, nested=False):
             np.power(gv, -(n + k) / d, out=radial)
         last_k = k
         if k == 0:
-            totals.append(np.array([float(tw @ (radial @ weights))]))
+            mass = radial @ weights
+            totals.append(np.array([float(mass if flat else tw @ mass)]))
             if nested:
-                halves.append(np.array([2.0 * float(radial[0, ::2] @ weights[::2])]))
+                halves.append(np.array([2.0 * float(radial[::2] @ weights[::2])]))
             continue
         outer, inner = _basis_tables(n, resolution, k)
-        totals.append(tw @ (np.multiply(radial, weights, out=weighted) @ inner * outer))
+        sums = np.multiply(radial, weights, out=weighted) @ inner
+        totals.append(sums if flat else tw @ (sums * outer))
         if nested:
-            halves.append(2.0 * (weighted[0, ::2] @ inner[::2]))
+            halves.append(2.0 * (weighted[::2] @ inner[::2]))
     count = 2 * tw.size * weights.size
     return (totals, count, halves) if nested else (totals, count)
 

@@ -90,6 +90,10 @@ the steps a kept Hessian adds cost more than it saves: on a 2-core x86
 box a prototype made the planar and centered benchmark suites slower,
 0.18 -> 0.27 s and 0.44 -> 0.47 s, so n = 2 keeps full Hessians.
 
+g is even, so x and -x are one constraint: the solve keeps the first row
+of each pair (constraints._distinct_rows), its barrier and gap bound count
+distinct constraints, and a dropped row's multiplier is 0.
+
 The iteration runs in whitened coordinates (sample scatter = identity).
 Without this, elongated clouds produce optimal coefficients that cancel
 catastrophically when g is evaluated near its sphere minimum, putting a
@@ -98,7 +102,7 @@ residual.  The optimum maps back exactly, with no second quadrature: for
 x = L u the user-frame moments are |det L| P_d(L) times the whitened ones
 (power_matrix) and lambda_i = |det L| lambda_w_i.  The solve fails closed
 (ConvergenceError) if its final quadrature did not converge, or if the
-user-frame g* misses the whitened values at the points by more than the
+user-frame g* misses the whitened values at any point by more than the
 cut of the taken fit, the slack that separates contacts from interior
 points.
 """
@@ -110,6 +114,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constraints import _distinct_rows
 from .errors import ConvergenceError, DegenerateInputError, NotInConeError
 from .integrals import MomentVector, integral_exp, moment_vector
 from .polynomials import (HomogeneousPoly, basis_for, compose_linear,
@@ -192,14 +197,11 @@ def _nnls(A, b):
     passive columns' span is longer than numpy's rank cut max(A.shape) eps
     |A|_2 (with |A|_F for |A|_2), so the passive columns stay independent:
     the answer is basic, with at most rank(A) positive weights
-    (Caratheodory), and twin columns, such as the monomials of x and -x at
-    even degree, never both carry weight.  Of those columns, the one with
-    the largest dual o_j^T r, r = b - A x, enters if its dual is above
-    roundoff, 10 eps (|b| |o_j| + |r| |a_j|), or rather the first column
-    identical to it: twins' duals differ only by rounding, which must not
-    pick the atom.  The fit stops when no dual is above roundoff,
-    or when the least-squares fit gives the entering column no positive
-    weight after all.  Each change to the passive set takes the QR
+    (Caratheodory).  Of those columns, the one with the largest dual
+    o_j^T r, r = b - A x, enters if its dual is above roundoff, 10 eps
+    (|b| |o_j| + |r| |a_j|).  The fit stops when no dual is above
+    roundoff, or when the least-squares fit gives the entering column no
+    positive weight after all.  Each change to the passive set takes the QR
     factors of its columns afresh and solves R z = Q^T b.
     """
     x = np.zeros(A.shape[1])
@@ -220,7 +222,7 @@ def _nnls(A, b):
         j = int(np.argmax(dual))
         if dual[j] == -np.inf:
             break
-        order.append(int(np.flatnonzero((A == A[:, [j]]).all(axis=0))[0]))
+        order.append(j)
         Q, R = np.linalg.qr(A[:, order])
         z = np.linalg.solve(R, Q.T @ b)
         if z[-1] <= 0.0:
@@ -302,9 +304,10 @@ def _solve_min_volume(cs, degree, tol=1e-8, resume=None, bar=np.inf):
         raise ValueError(f"degree must be even and >= 2, got {degree}")
     raw_points = cs.points
     n = raw_points.shape[1]
+    rows, row_of = _distinct_rows(raw_points, mirror=True)
 
-    L, W, points = _whiten(raw_points, "constraint points lie in a proper "
-                           "subspace; no finite-volume enclosure exists")
+    L, W, points = _whiten(raw_points[rows], "constraint points lie in a "
+                           "proper subspace; no finite-volume enclosure exists")
     det_L = float(np.prod(np.diag(L)))
     V = basis_for(n, degree).monomials(points)
     if resume is None:
@@ -345,18 +348,20 @@ def _solve_min_volume(cs, degree, tol=1e-8, resume=None, bar=np.inf):
                     f"final quadrature did not converge at {info['points']} "
                     f"points (ladder delta {info['last_delta']:.3e})")
             g_out = compose_linear(HomogeneousPoly(n, degree, gvec), W)
-            drift = float(np.max(np.abs(g_out(raw_points) - (1.0 - slack))))
+            drift = float(np.max(np.abs(g_out(raw_points) - (1 - slack[row_of]))))
             if drift > cut:
                 raise ConvergenceError(
                     f"frame change: user-frame and whitened g* disagree by "
                     f"{drift:.3e} at the points (activity_tol {cut:.1e})")
             objective = det_L * y0
+            multipliers = np.zeros(len(raw_points))
+            multipliers[rows] = det_L * lam         # a dropped twin's is 0
             yd_user = det_L * (power_matrix(L, degree) @ yd)
             return SolveReport(
                 g_star=g_out, objective=objective,
                 volume=objective / math.gamma(1.0 + n / degree),
                 iterations=total_newton, stages=stages, t_final=t,
-                kkt_residual=res, multipliers=det_L * lam,
+                kkt_residual=res, multipliers=multipliers,
                 moment_data=MomentVector(n, degree, objective, yd_user,
                                          quadrature_info=info),
             )
