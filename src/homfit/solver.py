@@ -67,28 +67,14 @@ and ends where it would anyway, up to rounding.  There, steps above
 LOOSE_DECREMENT are Newton's damped phase, where the decrement need not
 halve, so they do not count toward the stall rule.
 
-Those loose stages run chord Newton for n >= 3 (Shamanskii's method;
-Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
-5.4).  The objective Hessian I_{a+b} needs the 2d moment slice, at n = 3,
-d = 4 about 4.3 times the cost of the degree-d slice, yet it only steers
-the step.  So a step may keep the objective Hessian of the stage's last
-full evaluation for up to CHORD_REUSES further steps; a stage's first
-step takes a full one, and the barrier term (D / s^2)^T D is rebuilt
-every step.  The gradient -I_a stays exact, so a kept step is zero
-exactly where Newton's is: the point the stage converges to does not
-move, only the path to it and, through the kept Hessian's decrement,
-where a loose stage stops, which no one reads.
-Stages that can yield take full Hessians, and so does the joint (g, a)
-path, whose eigenvalue flip needs the current one.  When the next step
-will keep the Hessian, the line search's trials ask for the degree-d
-slice along with the mass (moment_vector without the 2d slice); the
-accepted trial's moments are that step's gradient, so a kept step costs
-no quadrature beyond its line search.  Steps and trials share one ladder
-memory, the integrals module's hint.
-At n = 2 the 2d slice has 2d + 1 columns, the degree-d slice d + 1, and
-the steps a kept Hessian adds cost more than it saves: on a 2-core x86
-box a prototype made the planar and centered benchmark suites slower,
-0.18 -> 0.27 s and 0.44 -> 0.47 s, so n = 2 keeps full Hessians.
+Each iterate is integrated once.  The moments of exp(-g) (mass, degree-d
+and 2d slices) are the only costly part of a step and do not depend on t,
+so a stage starts from the moments its predecessor ended on and re-weights
+them at its own t.  A line-search trial asks only for the mass; it is taken
+when it passes the Armijo test and its full moments return, so a trial
+whose moments leave the positivity cone (NotInConeError) is rejected, never
+accepted.  Steps and trials share one ladder memory, the integrals module's
+hint.
 
 g is even, so x and -x are one constraint: the solve keeps the first row
 of each pair (constraints._distinct_rows), its barrier and gap bound count
@@ -130,7 +116,6 @@ ARMIJO_SLOPE = 1e-4
 BACKTRACK_RATIO = 0.5
 PHI_ROUNDING = 1e-15         # relative rounding of Phi_t (module docstring)
 LOOSE_DECREMENT = 0.5        # stop of stages whose point goes unread
-CHORD_REUSES = 2             # steps that keep an objective Hessian (n >= 3)
 FEASIBILITY_MARGIN = 0.01    # initial-guess headroom
 ACTIVITY_TOL = 1e-6          # first contact cut: slacks at or below it
 PRUNE_MARGIN = 1e-9          # relative lead of a pruning bound over its bar
@@ -455,10 +440,11 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
 
     Runs a Newton stage at t, t * BARRIER_MULTIPLIER, ... from the
     strictly feasible x (loose where C is None and the point goes unread,
-    there chord Newton for n >= 3, see the module docstring) and, after
-    each stage that meets the bound m/t <= tol * y0, yields (x,
-    t, stages, Newton steps so far, state), state being (y0, Phi_t,
-    gradient, Hessian, s, D, moment vector) at x.  Raises
+    see the module docstring) and, after each stage that meets the bound
+    m/t <= tol * y0, yields (x, t, stages, Newton steps so far, state),
+    state being (y0, Phi_t, gradient, Hessian, s, D, moment vector) at x.
+    Each iterate is integrated once: the moments and objective Hessian of
+    the last one are kept, so a stage starts from its predecessor's.  Raises
     ConvergenceError, its message `label` + reason + context(), when
     MAX_NEWTON_ITERS or MAX_STAGES runs out.  probe, if given, is called
     as probe(t, y0, s, moment vector) at every derivative evaluation and
@@ -475,18 +461,17 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
         return short_of_gap(BARRIER_MULTIPLIER * t, y0)
 
     loose = unread if curvature is None else None
-    chord = loose is not None and n >= 3
     hint = {}
-    kept = {}         # last full objective Hessian, last fused trial's moments
+    last = {}       # the last iterate integrated, its moments and hess_f
 
-    def derivatives(x, t, reuse):
-        if reuse:       # x is the last fused trial (_newton_stage)
-            mv = kept["moments"]
-        else:           # f = Integral exp(-g): grad_a = -I_a, hess_ab = I_{a+b}
+    def derivatives(x, t):
+        if not np.array_equal(last.get("x"), x):
+            # f = Integral exp(-g): grad_a = -I_a, hess_ab = I_{a+b}
             mv = moment_vector(HomogeneousPoly(n, degree, x[:size]),
                                include_2d=True, hint=hint)
-            kept["hess_f"] = mv.hessian_matrix()
-        y0, grad_f, hess_f = mv.y0, -mv.slice_d, kept["hess_f"]
+            last.update(x=x, mv=mv, hess_f=mv.hessian_matrix())
+        mv, hess_f = last["mv"], last["hess_f"]
+        y0, grad_f = mv.y0, -mv.slice_d
         s, D, curvature = slacks(x, True)
         if curvature is None:       # one m x size temporary per step
             grad = t * grad_f + D.T @ (1.0 / s)
@@ -504,25 +489,17 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
         phi = t * y0 - float(np.sum(np.log(s)))
         return y0, phi, grad, hess, s, D, mv
 
-    def barrier_value(x, t, fuse):
+    def barrier_value(x, t):
         s = slacks(x)
         if np.any(s <= 0.0):
             return np.inf
-        g = HomogeneousPoly(n, degree, x[:size])
-        try:
-            if fuse:        # also the gradient moments, for a reused step
-                mv = moment_vector(g, hint=hint)
-                kept["moments"], y0 = mv, mv.y0
-            else:
-                y0 = integral_exp(g, hint=hint)
-        except NotInConeError:
-            return np.inf
+        y0 = integral_exp(HomogeneousPoly(n, degree, x[:size]), hint=hint)
         return t * y0 - float(np.sum(np.log(s)))
 
     total = 0
     for stage in range(1, MAX_STAGES + 1):
         x, steps, state = _newton_stage(x, t, derivatives, barrier_value,
-                                        MAX_NEWTON_ITERS - total, loose, chord)
+                                        MAX_NEWTON_ITERS - total, loose)
         total += steps
         if not short_of_gap(t, state[0]):
             yield x, t, stage, total, state
@@ -536,21 +513,17 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
         f"tolerance{context()}")
 
 
-def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None,
-                  chord=False):
+def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None):
     """Damped Newton on one barrier function Phi_t, from x.
 
-    derivatives(x, t, False) returns (y0, Phi_t(x), gradient, Hessian, ...)
-    and barrier_value(x, t, False) returns Phi_t(x), or +inf outside the
-    domain.  With chord (convex paths, n >= 3, where loose is given) the
-    third argument may be True: barrier_value(x, t, True) also keeps the
-    gradient moments at x, and derivatives(x, t, True) at that accepted
-    trial x returns its exact gradient with the objective Hessian of the
-    last full evaluation (module docstring); a step keeps it only where
-    loose(t, y0) holds, after a full step, for at most CHORD_REUSES steps.
-    An indefinite Hessian is made positive definite by the escalating ridge
-    of _newton_step, so every step is a descent direction.  Stops on the
-    scale-aware decrement test, at decrement LOOSE_DECREMENT where
+    derivatives(x, t) returns (y0, Phi_t(x), gradient, Hessian, ...) and
+    barrier_value(x, t) returns Phi_t(x), or +inf outside the domain;
+    either may raise NotInConeError.  A trial is taken only when it passes
+    the Armijo test and its derivatives return, so a NotInConeError from
+    either call rejects it, and the state in hand is always the current
+    x's.  An indefinite Hessian is made positive definite by the escalating
+    ridge of _newton_step, so every step is a descent direction.  Stops on
+    the scale-aware decrement test, at decrement LOOSE_DECREMENT where
     loose(t, y0), given on convex paths, holds at the current x (module
     docstring), after six steps that fail to halve the decrement (a convex
     path's damped-phase steps excepted), when the line search finds no
@@ -560,10 +533,9 @@ def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None,
 
     Returns (x, steps taken, derivatives(x, t) at the returned x).
     """
+    state = derivatives(x, t)
     best_dec2, stall, steps = np.inf, 0, 0
-    reuse, reused = False, 0
     for _ in range(budget):
-        state = derivatives(x, t, reuse)
         y0, phi0, grad, hess = state[:4]
         step = _newton_step(hess, grad)
         dec2 = float(-grad @ step)
@@ -577,9 +549,6 @@ def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None,
             stall += 1
             if stall >= 6:
                 break
-        if chord:       # does the next step keep this objective Hessian?
-            reused = reused + 1 if reuse else 0
-            reuse = reused < CHORD_REUSES and loose(t, y0)
 
         armijo = ARMIJO_SLOPE * (grad @ step)
         floor = PHI_ROUNDING * abs(phi0)
@@ -587,17 +556,16 @@ def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None,
         accepted = False
         while alpha > 1e-14 and alpha * dec2 > floor:
             trial = x + alpha * step
-            phi = barrier_value(trial, t, reuse)
-            if np.isfinite(phi) and phi <= phi0 + alpha * armijo:
-                x = trial
-                accepted = True
-                break
+            try:
+                if barrier_value(trial, t) <= phi0 + alpha * armijo:
+                    state, x, accepted = derivatives(trial, t), trial, True
+                    break
+            except NotInConeError:
+                pass
             alpha *= BACKTRACK_RATIO
         steps += 1
         if not accepted:
             break
-    else:       # budget spent on an accepted step: state is for the old x
-        state = derivatives(x, t, False)
     return x, steps, state
 
 

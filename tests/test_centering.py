@@ -162,10 +162,28 @@ def test_two_points_have_no_centered_fit():
         solve_min_volume_centered(cs, 2)
 
 
-@pytest.mark.parametrize("degree", [2, 4])
-@pytest.mark.parametrize("seed", [31, 32, 33])
-def test_seeded_family_is_locally_optimal(seed, degree):
-    cs = ConstraintSet(seeded_cloud(seed))
+def spatial_cloud(seed):
+    """Twelve points in R^3 around (2, 2, 2), sheared."""
+    shear = np.eye(3) + 0.3 * philox(seed + 300).normal(size=(3, 3))
+    return philox(seed + 200).normal(size=(12, 3)) @ shear + 2.0
+
+
+# the seeded family at d = 2 and 4, two n = 3 clouds and a wider d = 4
+# cloud: a joint path that drops its curvature term C leaves some of
+# these centers off the optimum
+LOCAL_CASES = {
+    **{f"{seed}-{degree}": (lambda seed=seed: seeded_cloud(seed), degree)
+       for degree in (2, 4) for seed in (31, 32, 33)},
+    **{f"n3_{seed}-2": (lambda seed=seed: spatial_cloud(seed), 2)
+       for seed in (41, 42)},
+    "141-4": (lambda: philox(141).normal(size=(14, 2)) + 1.0, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(LOCAL_CASES))
+def test_seeded_family_is_locally_optimal(case):
+    cloud, degree = LOCAL_CASES[case]
+    cs = ConstraintSet(cloud())
     rep = solve_min_volume_centered(cs, degree)
     assert rep.meta["fallback"] is None
     assert rep.meta["center_stationarity"] <= 1e-5
