@@ -261,9 +261,9 @@ def _angular_integrals(g, degrees, hint=None):
         totals, count = _level(g, degrees, res, floor)
 
 
-def integral_exp(g, hint=None):
+def integral_exp(g):
     """Total mass Integral exp(-g(x)) dx over R^n."""
-    totals, _ = _angular_integrals(g, [0], hint=hint)
+    totals, _ = _angular_integrals(g, [0])
     return float(totals[0][0])
 
 
@@ -271,9 +271,9 @@ def volume_sublevel(g, y):
     """Lebesgue volume of {x : g(x) <= y}.
 
     vol = y^(n/d) / Gamma(1 + n/d) * Integral exp(-g); zero at y = 0,
-    ValueError for y < 0.
+    ValueError unless y >= 0 (so for nan too).
     """
-    if y < 0:
+    if not y >= 0:
         raise ValueError("level y must be nonnegative")
     if y == 0:
         return 0.0

@@ -70,11 +70,11 @@ halve, so they do not count toward the stall rule.
 Each iterate is integrated once.  The moments of exp(-g) (mass, degree-d
 and 2d slices) are the only costly part of a step and do not depend on t,
 so a stage starts from the moments its predecessor ended on and re-weights
-them at its own t.  A line-search trial asks only for the mass; it is taken
-when it passes the Armijo test and its full moments return, so a trial
-whose moments leave the positivity cone (NotInConeError) is rejected, never
-accepted.  Steps and trials share one ladder memory, the integrals module's
-hint.
+them at its own t.  A line-search trial is one quadrature of those slices:
+they decide the Armijo test and, if it passes, are the iterate's, and a
+trial whose moments leave the positivity cone (NotInConeError) is
+rejected.  Every quadrature of a path climbs from one ladder memory, the
+integrals module's hint.
 
 g is even, so x and -x are one constraint: the solve keeps the first row
 of each pair (constraints._distinct_rows), its barrier and gap bound count
@@ -102,7 +102,7 @@ import numpy as np
 
 from .constraints import _distinct_rows
 from .errors import ConvergenceError, DegenerateInputError, NotInConeError
-from .integrals import MomentVector, integral_exp, moment_vector
+from .integrals import MomentVector, moment_vector
 from .polynomials import (HomogeneousPoly, basis_for, compose_linear,
                           power_matrix)
 
@@ -271,7 +271,7 @@ def solve_min_volume(cs, degree, tol=1e-8, resume=None):
 class _Pruned(Exception):
     """A barred solve proved its optimum above its bar: bound is the
     weak-duality lower bound (user frame) and steps the derivative
-    evaluations it took."""
+    states it took."""
 
     def __init__(self, bound, steps):
         super().__init__(f"lower bound {bound:.6e} after {steps} steps")
@@ -390,8 +390,8 @@ def _duality_probe(V, n, degree, det_L, bar):
     err = (1 + n/d) delta y0 + sum|P| (delta |I_d|_inf + |r|_inf).  The
     probe prunes once bound - 2 err > (1 + PRUNE_MARGIN) bar: the optimum
     then exceeds bar by more than the bar's own quadrature error, so a
-    full solve would have lost to it.  It counts its calls, one per
-    derivative evaluation, as the steps.
+    full solve would have lost to it.  It counts its calls, one per state
+    the path's derivatives return, as the steps.
     """
     try:
         C = np.linalg.cholesky(V.T @ V)
@@ -443,13 +443,13 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
     see the module docstring) and, after each stage that meets the bound
     m/t <= tol * y0, yields (x, t, stages, Newton steps so far, state),
     state being (y0, Phi_t, gradient, Hessian, s, D, moment vector) at x.
-    Each iterate is integrated once: the moments and objective Hessian of
-    the last one are kept, so a stage starts from its predecessor's.  Raises
-    ConvergenceError, its message `label` + reason + context(), when
-    MAX_NEWTON_ITERS or MAX_STAGES runs out.  probe, if given, is called
-    as probe(t, y0, s, moment vector) at every derivative evaluation and
-    may end the path by raising (_duality_probe).  Every quadrature on the
-    path, steps and line-search trials alike, climbs from one ladder hint.
+    Each iterate is integrated once: a trial's moments decide its Armijo
+    test and become the iterate's, and a stage starts from the moments and
+    objective Hessian its predecessor ended on.  Raises ConvergenceError,
+    its message `label` + reason + context(), when MAX_NEWTON_ITERS or
+    MAX_STAGES runs out.  probe, if given, is called as probe(t, y0, s,
+    moment vector) at every state returned and may end the path by raising
+    (_duality_probe).  Every quadrature climbs from one ladder hint.
     """
     size = len(basis_for(n, degree))
     s0, _, curvature = slacks(x, True)
@@ -462,16 +462,22 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
 
     loose = unread if curvature is None else None
     hint = {}
-    last = {}       # the last iterate integrated, its moments and hess_f
+    last = {}       # the last state returned: x, its moments and hess_f
 
-    def derivatives(x, t):
-        if not np.array_equal(last.get("x"), x):
+    def derivatives(x, t, bound=np.inf):
+        s = slacks(x)
+        if np.any(s <= 0.0):
+            return None
+        kept = np.array_equal(last.get("x"), x)
+        mv = last["mv"] if kept else moment_vector(
+            HomogeneousPoly(n, degree, x[:size]), include_2d=True, hint=hint)
+        phi = t * mv.y0 - float(np.sum(np.log(s)))
+        if not phi <= bound:
+            return None
+        if not kept:
             # f = Integral exp(-g): grad_a = -I_a, hess_ab = I_{a+b}
-            mv = moment_vector(HomogeneousPoly(n, degree, x[:size]),
-                               include_2d=True, hint=hint)
             last.update(x=x, mv=mv, hess_f=mv.hessian_matrix())
-        mv, hess_f = last["mv"], last["hess_f"]
-        y0, grad_f = mv.y0, -mv.slice_d
+        y0, grad_f, hess_f = mv.y0, -mv.slice_d, last["hess_f"]
         s, D, curvature = slacks(x, True)
         if curvature is None:       # one m x size temporary per step
             grad = t * grad_f + D.T @ (1.0 / s)
@@ -486,19 +492,11 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
                 hess = (vec * np.abs(lam)) @ vec.T
         if probe is not None:
             probe(t, y0, s, mv)
-        phi = t * y0 - float(np.sum(np.log(s)))
         return y0, phi, grad, hess, s, D, mv
-
-    def barrier_value(x, t):
-        s = slacks(x)
-        if np.any(s <= 0.0):
-            return np.inf
-        y0 = integral_exp(HomogeneousPoly(n, degree, x[:size]), hint=hint)
-        return t * y0 - float(np.sum(np.log(s)))
 
     total = 0
     for stage in range(1, MAX_STAGES + 1):
-        x, steps, state = _newton_stage(x, t, derivatives, barrier_value,
+        x, steps, state = _newton_stage(x, t, derivatives,
                                         MAX_NEWTON_ITERS - total, loose)
         total += steps
         if not short_of_gap(t, state[0]):
@@ -513,23 +511,23 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
         f"tolerance{context()}")
 
 
-def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None):
+def _newton_stage(x, t, derivatives, budget, loose=None):
     """Damped Newton on one barrier function Phi_t, from x.
 
-    derivatives(x, t) returns (y0, Phi_t(x), gradient, Hessian, ...) and
-    barrier_value(x, t) returns Phi_t(x), or +inf outside the domain;
-    either may raise NotInConeError.  A trial is taken only when it passes
-    the Armijo test and its derivatives return, so a NotInConeError from
-    either call rejects it, and the state in hand is always the current
-    x's.  An indefinite Hessian is made positive definite by the escalating
-    ridge of _newton_step, so every step is a descent direction.  Stops on
-    the scale-aware decrement test, at decrement LOOSE_DECREMENT where
-    loose(t, y0), given on convex paths, holds at the current x (module
-    docstring), after six steps that fail to halve the decrement (a convex
-    path's damped-phase steps excepted), when the line search finds no
-    Armijo point above Phi_t's rounding (module docstring), or after
-    `budget` steps: what is left (>= 1) of the barrier path's Newton
-    budget.
+    derivatives(x, t, bound) returns the state (y0, Phi_t(x), gradient,
+    Hessian, ...) at x, or None where x leaves the domain or Phi_t(x) is
+    not <= bound (default +inf), and may raise NotInConeError.  A trial is
+    one call, bounded by the Armijo test: a state it returns is the next
+    iterate's, and a None or a NotInConeError rejects the trial, so the
+    state in hand is always the current x's.  An indefinite Hessian is made
+    positive definite by the escalating ridge of _newton_step, so every
+    step is a descent direction.  Stops on the scale-aware decrement test,
+    at decrement LOOSE_DECREMENT where loose(t, y0), given on convex paths,
+    holds at the current x (module docstring), after six steps that fail to
+    halve the decrement (a convex path's damped-phase steps excepted), when
+    the line search finds no Armijo point above Phi_t's rounding (module
+    docstring), or after `budget` steps: what is left (>= 1) of the barrier
+    path's Newton budget.
 
     Returns (x, steps taken, derivatives(x, t) at the returned x).
     """
@@ -552,20 +550,18 @@ def _newton_stage(x, t, derivatives, barrier_value, budget, loose=None):
 
         armijo = ARMIJO_SLOPE * (grad @ step)
         floor = PHI_ROUNDING * abs(phi0)
-        alpha = 1.0
-        accepted = False
-        while alpha > 1e-14 and alpha * dec2 > floor:
+        alpha, found = 1.0, None
+        while found is None and alpha > 1e-14 and alpha * dec2 > floor:
             trial = x + alpha * step
             try:
-                if barrier_value(trial, t) <= phi0 + alpha * armijo:
-                    state, x, accepted = derivatives(trial, t), trial, True
-                    break
+                found = derivatives(trial, t, phi0 + alpha * armijo)
             except NotInConeError:
                 pass
             alpha *= BACKTRACK_RATIO
         steps += 1
-        if not accepted:
+        if found is None:
             break
+        x, state = trial, found
     return x, steps, state
 
 

@@ -45,6 +45,8 @@ def _box_estimate(g, y, alpha, budget, seed):
     reproduces.  For alpha = 0 the sample variance is the binomial
     p(1 - p) of the acceptance fraction p.
     """
+    if not isinstance(budget, (int, np.integer)) or budget < 1:
+        raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
     n, d = g.n, g.degree
     radius = (y / check_in_cone(g)) ** (1.0 / d)
     exps = np.array([alpha], dtype=np.int64)
@@ -67,10 +69,10 @@ def _box_estimate(g, y, alpha, budget, seed):
 
 def mc_volume(g, y=1.0, budget=1_000_000, seed=0):
     """Monte-Carlo volume of {x : g(x) <= y}, which a translation of the
-    set does not change.  Zero at y = 0, ValueError for y < 0,
-    NotInConeError unless g > 0 on the sphere.
+    set does not change.  Zero at y = 0; ValueError unless y >= 0 and
+    budget is an integer >= 1; NotInConeError unless g > 0 on the sphere.
     """
-    if y < 0:
+    if not y >= 0:
         raise ValueError("level y must be nonnegative")
     return _box_estimate(g, y, (0,) * g.n, budget, seed)
 
@@ -87,7 +89,8 @@ def crosscheck_levelset_moment(g, alpha, mc_budget=200_000, seed=0):
 
     The left side comes from the angular quadrature, the right from a
     Monte-Carlo estimate over the bounding box of {g <= 1}; 'agree' means
-    the two differ by at most four Monte-Carlo standard errors.
+    the two differ by at most four Monte-Carlo standard errors.  ValueError
+    unless mc_budget is an integer >= 1.
     """
     alpha = _parse_key(alpha)
     lhs = moment(g, alpha)

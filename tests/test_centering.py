@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import philox, symmetric_cloud
+from conftest import imported_names, philox, symmetric_cloud
 from homfit import (ConstraintSet, ConvergenceError, DegenerateInputError,
                     KDescription, NotInConeError, centering,
                     solve_min_volume, solve_min_volume_centered, solver,
@@ -139,10 +139,10 @@ def test_joint_budget_message_keeps_prefix(monkeypatch):
 
 def test_one_barrier_path():
     # the centered fit runs on the solver's barrier path, not a copy of it
-    tree = ast.parse(Path(centering.__file__).read_text())
-    imported = {alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    imported = imported_names(Path(centering.__file__))
     assert not imported & {"_newton_stage", "integral_exp", "moment_vector"}
+    # and the solver's line search integrates through derivatives alone
+    assert "integral_exp" not in imported_names(Path(solver.__file__))
     calls = 0
     for path in Path(centering.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -72,6 +72,11 @@ def test_volume_sublevel_values():
         volume_sublevel(GAUSS2, -1.0)
 
 
+def test_volume_sublevel_rejects_a_nan_level():
+    with pytest.raises(ValueError):
+        volume_sublevel(GAUSS2, math.nan)
+
+
 def test_single_moments():
     assert moment(GAUSS2, (2, 0)) == pytest.approx(math.pi / 2.0, rel=1e-12)
     assert moment(GAUSS2, (1, 1)) == pytest.approx(0.0, abs=1e-12)
@@ -239,6 +244,12 @@ def test_crosscheck_levelset_moments():
     r = crosscheck_levelset_moment(QUARTIC2, (0, 0), mc_budget=200_000, seed=9)
     assert r.agree
     assert r.lhs == pytest.approx(Y0_QUARTIC, rel=1e-9)
+
+
+@pytest.mark.parametrize("budget", [0, -5, 2.5])
+def test_crosscheck_rejects_bad_budgets(budget):
+    with pytest.raises(ValueError):
+        crosscheck_levelset_moment(GAUSS2, (0, 0), mc_budget=budget)
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])

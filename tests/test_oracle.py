@@ -129,6 +129,16 @@ def test_mc_volume_zero_level():
         mc_volume(g, y=-1.0)
 
 
+@pytest.mark.parametrize("kwargs", [{"budget": 0}, {"budget": -5},
+                                    {"budget": 2.5}, {"y": math.nan}])
+def test_mc_volume_rejects_bad_budgets_and_levels(kwargs):
+    # these once raised ZeroDivisionError, returned a volume of -0.0,
+    # sampled 2 points but divided by 2.5, and returned nan
+    g = HomogeneousPoly(2, 2, {(2, 0): 1.0, (0, 2): 1.0})
+    with pytest.raises(ValueError):
+        mc_volume(g, **kwargs)
+
+
 def test_mc_volume_scaling_law():
     # vol{g <= y} = y^{n/d} vol{g <= 1}
     g = HomogeneousPoly(2, 4, {(4, 0): 1.0, (2, 2): 1.0, (0, 4): 1.0})

@@ -230,18 +230,20 @@ def test_loose_stages_keep_the_answer(pts, degree, monkeypatch):
 
 
 def test_each_iterate_is_integrated_once(monkeypatch):
-    # a barrier stage starts from the moments its predecessor ended on:
-    # no path integrates the same g twice in a row, though every stage
-    # after the first starts where the last one stopped
+    # a barrier stage starts from the moments its predecessor ended on, and
+    # an accepted line-search trial's moments are the new iterate's: no
+    # path integrates the same g twice in a row, and every quadrature of a
+    # path is the one request of the mass, degree-d and 2d slices
     calls = []
-    moments = solver.moment_vector
+    angular = integrals._angular_integrals
 
-    def recorded(g, include_2d=False, hint=None):
-        if include_2d:      # hint is one barrier path's ladder memory
-            calls.append((hint, g.coeff_vector.copy()))
-        return moments(g, include_2d=include_2d, hint=hint)
+    def recorded(g, degrees, hint=None):
+        if hint is not None:    # one barrier path's ladder memory
+            calls.append((hint, g.coeff_vector.copy(), list(degrees),
+                          g.degree))
+        return angular(g, degrees, hint=hint)
 
-    monkeypatch.setattr(solver, "moment_vector", recorded)
+    monkeypatch.setattr(integrals, "_angular_integrals", recorded)
     solve_min_volume(ConstraintSet(quartic_star()[1]), 4)
     solve_min_volume(ConstraintSet(symmetric_cloud(3, n=3, m=30)), 4)
     solve_min_volume_centered(
@@ -250,6 +252,7 @@ def test_each_iterate_is_integrated_once(monkeypatch):
                if calls[k][0] is calls[k - 1][0]
                and np.array_equal(calls[k][1], calls[k - 1][1])]
     assert len(calls) > 100 and repeats == []
+    assert all(degrees == [0, d, 2 * d] for _, _, degrees, d in calls)
 
 
 @pytest.mark.parametrize("seed,degree", [(17, 12), (20, 14)])
@@ -294,16 +297,15 @@ def test_line_search_stops_at_phi_rounding():
     phi0 = 1.0
     calls = []
 
-    def derivatives(x, t):
-        return 1e-8, phi0, x - 5.5e-8, np.eye(1)
-
-    def barrier_value(x, t):
-        calls.append(x)
-        return phi0 + 2 * np.spacing(phi0)
+    def derivatives(x, t, bound=np.inf):
+        phi = phi0
+        if bound < np.inf:      # a trial
+            calls.append(x)
+            phi += 2 * np.spacing(phi0)
+        return (1e-8, phi, x - 5.5e-8, np.eye(1)) if phi <= bound else None
 
     x0 = np.zeros(1)
-    x, steps, state = solver._newton_stage(x0, 1.0, derivatives,
-                                           barrier_value, 10)
+    x, steps, state = solver._newton_stage(x0, 1.0, derivatives, 10)
     assert np.array_equal(x, x0) and steps == 1
     assert len(calls) <= 5
 
@@ -312,14 +314,11 @@ def test_stage_stops_after_six_steps_that_do_not_halve_the_decrement():
     # Phi(x) = -x with a unit Hessian: every Newton step is +1 with
     # decrement 1 and is accepted at alpha = 1, so only the stall rule ends
     # the stage, after the first step and six more that fail to halve it
-    def derivatives(x, t):
-        return 1.0, -x[0], np.array([-1.0]), np.eye(1)
+    def derivatives(x, t, bound=np.inf):
+        phi = -x[0]
+        return (1.0, phi, np.array([-1.0]), np.eye(1)) if phi <= bound else None
 
-    def barrier_value(x, t):
-        return -x[0]
-
-    x, steps, state = solver._newton_stage(np.zeros(1), 1.0, derivatives,
-                                           barrier_value, 50)
+    x, steps, state = solver._newton_stage(np.zeros(1), 1.0, derivatives, 50)
     assert steps == 6 and x[0] == pytest.approx(6.0, rel=1e-9)
     assert state[1] == -x[0]
 
