@@ -2,10 +2,10 @@
 
 The origin-centered program P0 is convex; adding a center a gives
 {x : g(x - a) <= 1} and the full problem P.  P is smooth in (g, a)
-together, so one log-barrier Newton path moves both; fixed-center solves
-at the resulting center (resumed where the path ended), the centroid and
-the origin then certify the answer.  For an off-center cloud the gain is
-dramatic; for a symmetric one the origin is already best.
+together, so one log-barrier Newton path moves both, and its answer is
+certified where the path yields.  It then competes with fixed-center
+solves at the centroid and the origin.  For an off-center cloud the gain
+is dramatic; for a symmetric one the origin is already best.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ print(f"centered volume        {best.volume:.6f} at a* = "
       f"({best.center[0]:.4f}, {best.center[1]:.4f})")
 print(f"joint Newton steps {best.outer_iterations} over "
       f"{best.meta['joint_stages']} barrier stages, "
-      f"fixed-center solves {best.evaluations}")
+      f"certified candidates {best.evaluations}")
 print("the optimal center is the square's midpoint and the set a disk of")
 print(f"radius sqrt(2): volume 2*pi = {2.0 * np.pi:.6f}")
 

@@ -11,13 +11,14 @@ center is found by one log-barrier Newton path in those joint variables,
 on the solver's barrier path; this module adds the curved slacks
 1 - g(x_i - a) with their first and second derivatives, and rho is never
 formed.  The joint problem is not convex, so the path gives a local
-optimum with no uniqueness claim.  The answer is then certified by
-ordinary fixed-center solves at the joint center, the centroid and the
-origin; the best of the three wins, so the centered volume never exceeds
-the origin-centered one (up to solver tolerance) and every answer comes
-with the solver's own SolveReport.  The solve at the joint center
-resumes where the joint path ended (_resume_point), so it yields at the
-cold solve's t_final with the cold answer; it falls back to a cold one.
+optimum with no uniqueness claim.  Its gradient in g is the fixed-center
+barrier gradient at its current center, and each stage is centered to
+rounding, so the stage where it yields is a central point of the
+fixed-center problem at its own center: the solver's certify step
+(solver._certify) polishes its multipliers there, one row per point, into
+a SolveReport.  That answer competes with fixed-center solves at the
+centroid and the origin; the best of the three wins, so the centered
+volume never exceeds the origin-centered one (up to solver tolerance).
 
 The centroid and origin solves run after it, each with a bar: the best
 objective so far.  At every Newton step such a solve takes a
@@ -28,7 +29,8 @@ relative 1e-9.  A stopped candidate's optimum is then provably above the
 bar, so its full solve would have lost: the winner and its report are
 those of solving all three.  A candidate that can win is never stopped,
 and one that is not stopped runs the unbarred path bit for bit.  Its
-bound and step count go to meta["pruned"]; it still counts as a solve.
+bound and step count go to meta["pruned"]; it still counts as a
+certified candidate.
 """
 
 from __future__ import annotations
@@ -39,28 +41,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateInputError, NotInConeError
-from .polynomials import (HomogeneousPoly, basis_for, compose_linear,
-                          monomial_partials)
-from .solver import (BARRIER_MULTIPLIER, BARRIER_T0, SolveReport, _Pruned,
-                     _barrier_path, _check_tolerance, _solve_min_volume,
-                     _whiten, initial_guess)
+from .polynomials import HomogeneousPoly, basis_for, monomial_partials
+from .solver import (SolveReport, _Pruned, _barrier_path, _certify,
+                     _check_tolerance, _solve_min_volume, _whiten,
+                     initial_guess)
 
 __all__ = ["CenteredSolveReport", "solve_min_volume_centered"]
 
 
 @dataclass
 class CenteredSolveReport:
-    """Best center and its fixed-center solve.
+    """Best center and its certified answer.
 
     outer_iterations counts the Newton steps of the joint path and
-    evaluations the fixed-center solves.  meta holds the joint path's
-    barrier stages ("joint_stages"), its center stationarity
-    ||sum_i lambda_i grad g(x_i - a)||_inf / y0 with lambda_i =
-    1/(t s_i), measured in the whitened frame ("center_stationarity"),
-    the reason the joint path was abandoned, if it was ("fallback"),
-    the candidates stopped by their bar ("pruned": name -> {"bound":
-    lower bound on its objective, "steps": derivative evaluations}), and
-    which candidate won ("chosen").
+    evaluations the certified candidates, pruned or not: the joint center
+    (whose report is the joint path's own), the centroid and the origin.
+    meta holds the joint path's barrier stages ("joint_stages"), its
+    center stationarity ||sum_i lambda_i grad g(x_i - a)||_inf / y0 with
+    lambda_i = 1/(t s_i), measured in the whitened frame
+    ("center_stationarity"), the reason the joint path was abandoned, if
+    it was ("fallback"), the candidates stopped by their bar ("pruned":
+    name -> {"bound": lower bound on its objective, "steps": derivative
+    evaluations}), and which candidate won ("chosen").
     """
 
     center: np.ndarray
@@ -75,58 +77,43 @@ class CenteredSolveReport:
         return self.inner.g_star
 
 
-def _solve_at(cs, a, degree, tol, resume=None, bar=np.inf):
-    """Fixed-center solve for the points shifted by -a: resumed from
-    resume = (g, t) if given, then cold if that fails.  The solver picks
-    the contacts itself, points just inside the boundary included, so a
-    cold failure is final.  A finite bar lets the solve stop once it
-    proves its optimum above bar; an infinite one runs solve_min_volume's
-    path bit for bit (solver._solve_min_volume).
-
-    Returns (objective, report, solves run), (+inf, error, solves run)
-    when the shifted problem has no solve, or (lower bound, _Pruned,
-    solves run) when it was pruned.
+def _solve_at(cs, a, degree, tol, bar=np.inf):
+    """Fixed-center solve for the points shifted by -a, stopped once it
+    proves its optimum above a finite bar (solver._solve_min_volume).
+    Returns (objective, report), (+inf, error) when the shifted problem
+    has no solve, or (lower bound, _Pruned) when it was pruned.
     """
-    shifted = cs.shifted(a)
-    starts = [resume, None] if resume is not None else [None]
-    for solves, start in enumerate(starts, start=1):
-        try:
-            report = _solve_min_volume(shifted, degree, tol, start, bar)
-            return report.objective, report, solves
-        except _Pruned as cut:
-            return cut.bound, cut, solves
-        except (ConvergenceError, DegenerateInputError, NotInConeError) as exc:
-            error = exc
-    return np.inf, error, solves
-
-
-def _resume_point(g_w, t, W, L, z):
-    """Start (g_w(W z), t') of the fixed solve for z = x - a from the joint
-    path's last g_w and t, in its frame W (x - centroid), L = W^-1.  t * y0
-    is frame-invariant, so t' = t |det L_z| / |det L| (L_z L_z^T = z^T z /
-    m), rounded down to BARRIER_T0 * BARRIER_MULTIPLIER^k, one stage lower.
-    """
-    t *= math.sqrt(np.linalg.det(z.T @ z / len(z))) / np.prod(np.diag(L))
-    k = math.floor(math.log(t / BARRIER_T0, BARRIER_MULTIPLIER)) - 1
-    return compose_linear(g_w, W), BARRIER_T0 * BARRIER_MULTIPLIER ** max(k, 0)
+    try:
+        report = _solve_min_volume(cs.shifted(a), degree, tol, bar)
+        return report.objective, report
+    except _Pruned as cut:
+        return cut.bound, cut
+    except (ConvergenceError, DegenerateInputError, NotInConeError) as exc:
+        return np.inf, exc
 
 
 def _joint_path(points, degree, tol=1e-8):
-    """Log-barrier Newton path in (g, a) for whitened points whose
-    centroid is the origin, starting at a = 0.
+    """Log-barrier Newton path in (g, a) for the (m, n) points, whitened
+    about their centroid and started there.
 
-    Returns (a, g, t, Newton steps, stages, center stationarity) at the
-    first stage that meets the duality-gap bound m/t <= tol * y0; raises
-    ConvergenceError when none does within the solver's budgets.
+    Returns (center, report, center stationarity) at the first stage that
+    meets the gap bound m/t <= tol * y0 and whose multipliers, polished at
+    its center, meet tol (solver._certify).  Raises DegenerateInputError
+    where solver._whiten does for the points minus their centroid,
+    ConvergenceError when the path or its polish fails within budget.
     """
     n = points.shape[1]
+    centroid = points.mean(axis=0)
+    L, W, whitened = _whiten(points - centroid, "points minus their "
+                             "centroid lie in a proper subspace; the "
+                             "centered volume can shrink to zero", degree)
     basis = basis_for(n, degree)
     size = len(basis)
-    J, L = np.triu_indices(n)
-    jet = [()] + [(j,) for j in range(n)] + list(zip(J, L))
+    J, K = np.triu_indices(n)
+    jet = [()] + [(j,) for j in range(n)] + list(zip(J, K))
 
     def slacks(x, jacobian=False):
-        g, z = HomogeneousPoly(n, degree, x[:size]), points - x[size:]
+        g, z = HomogeneousPoly(n, degree, x[:size]), whitened - x[size:]
         if not jacobian:
             return 1.0 - g(z)
         # m(z), dm/dz_j and d2m/dz_j dz_l (j <= l) from one set of power tables
@@ -140,19 +127,21 @@ def _joint_path(points, degree, tol=1e-8):
         curvature[:size, size:] = -np.tensordot(inv, dM, 1).T
         curvature[size:, :size] = curvature[:size, size:].T
         hess_g = inv @ (partials[:, n + 1:] @ g.coeff_vector)
-        curvature[size + J, size + L] = curvature[size + L, size + J] = hess_g
+        curvature[size + J, size + K] = curvature[size + K, size + J] = hess_g
         # -ds/d(g, a): row i is (m(z_i), -grad g(z_i))
         return s, np.hstack([M, -(dM @ g.coeff_vector)]), curvature
 
-    x = np.concatenate([initial_guess(points, degree).coeff_vector,
+    x = np.concatenate([initial_guess(whitened, degree).coeff_vector,
                         np.zeros(n)])
     path = _barrier_path(x, n, degree, slacks, tol, label="joint path: ")
-    x, t, stages, steps, state = next(path)
+    every = slice(None)     # the center moves: each point is a row of its own
+    report, x, state = _certify(
+        path, lambda x: (points - (centroid + L @ x[size:]), every, every),
+        L, W, n, degree, tol)
     y0, slack, jac = state[0], state[4], state[5]
-    lam = 1.0 / (t * slack)
+    lam = 1.0 / (report.t_final * slack)
     stationarity = float(np.max(np.abs(jac[:, size:].T @ lam))) / y0
-    return (x[size:], HomogeneousPoly(n, degree, x[:size]), t, steps, stages,
-            stationarity)
+    return centroid + L @ x[size:], report, stationarity
 
 
 def solve_min_volume_centered(cs, degree, tol=1e-8):
@@ -160,14 +149,16 @@ def solve_min_volume_centered(cs, degree, tol=1e-8):
     points.
 
     Runs the joint (g, a) barrier path in coordinates whitened about the
-    centroid, then fixed-center solves at the joint center (resumed), the
-    centroid and the origin, each after the first stopped once it provably
-    loses (module docstring); the smallest objective wins.  If the joint
-    path fails (ConvergenceError or NotInConeError) only the centroid and
-    the origin are tried, and meta["fallback"] says why.
+    centroid and certifies its answer at the joint center, then runs
+    fixed-center solves at the centroid and the origin, each stopped once
+    it provably loses (module docstring); the smallest objective wins.  If
+    the joint path or its certificate fails (ConvergenceError or
+    NotInConeError) only the centroid and the origin are tried, and
+    meta["fallback"] says why.
 
     Raises DegenerateInputError if the points minus their centroid do
-    not span R^n (the volume then tends to 0 and no minimizer exists).
+    not span R^n, or a nonzero form of degree d/2 vanishes at all of them
+    (the volume then tends to 0 and no minimizer exists).
     If no candidate center admits a solve, raises the error of the first
     candidate.  tol is the KKT tolerance of the joint path and of every
     fixed-center solve (solver.solve_min_volume).
@@ -175,29 +166,21 @@ def solve_min_volume_centered(cs, degree, tol=1e-8):
     _check_tolerance(tol)
     points = cs.points
     n = points.shape[1]
-    centroid = points.mean(axis=0)
-    L, W, whitened = _whiten(points - centroid, "points minus their "
-                             "centroid lie in a proper subspace; the "
-                             "centered volume can shrink to zero")
-
-    meta = {"joint_stages": 0, "center_stationarity": None, "fallback": None}
-    candidates, steps = [], 0
+    meta = {"joint_stages": 0, "center_stationarity": None, "fallback": None,
+            "pruned": {}}
+    results, steps = [], 0
     try:
-        a_w, g_w, t, steps, meta["joint_stages"], \
-            meta["center_stationarity"] = _joint_path(whitened, degree, tol)
-        center = centroid + L @ a_w
-        candidates.append(("joint", center, _resume_point(
-            g_w, t, W, L, points - center)))
+        center, report, meta["center_stationarity"] = _joint_path(
+            points, degree, tol)
+        steps, meta["joint_stages"] = report.iterations, report.stages
+        results.append((report.objective, report, center, "joint"))
     except (ConvergenceError, NotInConeError) as exc:
         meta["fallback"] = str(exc)
-    candidates += [("centroid", centroid, None), ("origin", np.zeros(n), None)]
 
-    results, best = [], np.inf
-    evaluations = 0
-    meta["pruned"] = {}
-    for name, center, resume in candidates:
-        value, report, solves = _solve_at(cs, center, degree, tol, resume, best)
-        evaluations += solves
+    best = results[0][0] if results else np.inf
+    for name, center in (("centroid", points.mean(axis=0)),
+                         ("origin", np.zeros(n))):
+        value, report = _solve_at(cs, center, degree, tol, best)
         if isinstance(report, _Pruned):
             meta["pruned"][name] = {"bound": value, "steps": report.steps}
         else:
@@ -209,5 +192,5 @@ def solve_min_volume_centered(cs, degree, tol=1e-8):
     return CenteredSolveReport(
         center=center, inner=report,
         volume=value / math.gamma(1.0 + n / degree),
-        outer_iterations=steps, evaluations=evaluations, meta=meta,
+        outer_iterations=steps, evaluations=len(results), meta=meta,
     )

@@ -28,9 +28,10 @@ the path goes on, but only as long as each stage at least halves the
 smaller residual of the two; a stage that does not ends the solve with a
 "stalled" ConvergenceError.
 
-The barrier path (_barrier_path) and the whitening (_whiten) are shared
-with the centered fit, whose slacks 1 - g(x_i - a) also depend on a
-center a; each caller gives only its slacks and their derivatives.  The
+The barrier path (_barrier_path), the whitening (_whiten) and the polish
+with its map to the user's frame (_certify) are shared with the centered
+fit, whose slacks 1 - g(x_i - a) also depend on a center a; each caller
+gives its slacks, their derivatives and each iterate's frame.  The
 centered fit's losing candidates run with a bar (_solve_min_volume): a
 weak-duality bound taken at every step (_duality_probe) stops the solve
 once it proves the optimum above the bar.  The schedule is fixed: t
@@ -38,8 +39,7 @@ starts at BARRIER_T0 and grows by BARRIER_MULTIPLIER for at most
 MAX_STAGES stages, which together take at most MAX_NEWTON_ITERS Newton
 steps, and the line search backtracks by BACKTRACK_RATIO until Phi_t
 drops by ARMIJO_SLOPE times the predicted decrease.  Both fits start
-from initial_guess with FEASIBILITY_MARGIN headroom; a fixed-center
-solve may instead resume from a given (g, t).
+from initial_guess with FEASIBILITY_MARGIN headroom.
 
 The line search gives up, and the stage ends, once the predicted decrease
 alpha * |grad^T p| falls below PHI_ROUNDING * |Phi_t(x)|, or alpha below
@@ -137,7 +137,8 @@ class SolveReport:
     of coefficient-cancellation noise; the certificate module re-measures
     residuals in the original frame.  The multipliers and moment_data (y0
     and the degree-d slice) are exact maps of the final whitened ones;
-    quadrature_info is that call's.
+    quadrature_info is that call's.  t_final, the yielding barrier weight,
+    is in the units of the frame the path ran in (t * y0 is invariant).
     """
 
     g_star: HomogeneousPoly
@@ -227,11 +228,13 @@ def _nnls(A, b):
     return x
 
 
-def _whiten(points, message):
+def _whiten(points, message, degree=2):
     """Whitening map for (m, n) points: scatter points^T points / m = L L^T.
 
-    Raises DegenerateInputError(message) if the points do not span R^n.
-    Returns (L, W = L^{-1}, the points in whitened coordinates W x).
+    Raises DegenerateInputError(message) if the points do not span R^n,
+    and DegenerateInputError if a nonzero form of degree d/2 vanishes at
+    all of them (the span test at d = 2).  Returns (L, W = L^{-1}, the
+    points in whitened coordinates W x).
     """
     m, n = points.shape
     scale = max(1.0, float(np.abs(points).max()))
@@ -242,10 +245,16 @@ def _whiten(points, message):
     except np.linalg.LinAlgError:
         raise DegenerateInputError("sample scatter is numerically singular")
     W = np.linalg.solve(L, np.eye(n))
-    return L, W, points @ W.T
+    whitened = points @ W.T
+    half = basis_for(n, degree // 2).monomials(whitened)
+    if np.linalg.matrix_rank(half, 1e-12 * np.abs(half).max()) < len(half.T):
+        raise DegenerateInputError(
+            f"a nonzero form of degree {degree // 2} vanishes at every "
+            "constraint point; no minimum-volume enclosure exists")
+    return L, W, whitened
 
 
-def solve_min_volume(cs, degree, tol=1e-8, resume=None):
+def solve_min_volume(cs, degree, tol=1e-8):
     """Minimum-volume enclosing sublevel set of even degree >= 2 for the
     points of the ConstraintSet cs; returns a SolveReport.
 
@@ -257,15 +266,12 @@ def solve_min_volume(cs, degree, tol=1e-8, resume=None):
     returns or raises "stalled" does too: on one 25-point cloud at d = 2
     one path reached 9.1e-16 and another stalled at 1.8e-15.
 
-    resume = (g, t) runs the barrier path from g (user frame) at weight t
-    (the units of SolveReport.t_final), not from initial_guess at
-    BARRIER_T0; g is scaled by the initial-guess margin only if a slack
-    is <= 0.  Raises DegenerateInputError if the points do not span R^n
-    (the problem is then unbounded), ConvergenceError if the tolerance is
-    not reached within the iteration budget, and NotInConeError if a
-    resumed g is not positive on the sphere.
+    Raises DegenerateInputError if no enclosure has minimum volume: the
+    points do not span R^n, or a nonzero form q of degree d/2 vanishes at
+    all of them (g + c q^2 stays feasible as c grows, its volume tending
+    to 0); ConvergenceError if tol is not reached within the budget.
     """
-    return _solve_min_volume(cs, degree, tol, resume)
+    return _solve_min_volume(cs, degree, tol)
 
 
 class _Pruned(Exception):
@@ -278,7 +284,7 @@ class _Pruned(Exception):
         self.bound, self.steps = bound, steps
 
 
-def _solve_min_volume(cs, degree, tol=1e-8, resume=None, bar=np.inf):
+def _solve_min_volume(cs, degree, tol=1e-8, bar=np.inf):
     """solve_min_volume with a bar: at every Newton step the weak-duality
     bound of _duality_probe is taken, and once it exceeds bar by the
     probe's margin the solve stops with _Pruned.  An infinite bar never
@@ -292,33 +298,40 @@ def _solve_min_volume(cs, degree, tol=1e-8, resume=None, bar=np.inf):
     rows, row_of = _distinct_rows(raw_points, mirror=True)
 
     L, W, points = _whiten(raw_points[rows], "constraint points lie in a "
-                           "proper subspace; no finite-volume enclosure exists")
-    det_L = float(np.prod(np.diag(L)))
+                           "proper subspace; no finite-volume enclosure exists",
+                           degree)
     V = basis_for(n, degree).monomials(points)
-    if resume is None:
-        gvec, t0 = initial_guess(points, degree).coeff_vector, BARRIER_T0
-    else:
-        start, t0 = resume
-        if (start.n, start.degree) != (n, degree) or not t0 > 0:
-            raise ValueError("resume needs g of this n and degree, t > 0")
-        gvec = compose_linear(start, L).coeff_vector      # whitened frame
-        top = float(np.max(V @ gvec))
-        if top >= 1.0:
-            gvec = gvec / ((1.0 + FEASIBILITY_MARGIN) * top)
 
     def slacks(vec, jacobian=False):
         s = 1.0 - V @ vec
         return (s, V, None) if jacobian else s
 
+    det_L = float(np.prod(np.diag(L)))
+    probe = _duality_probe(V, n, degree, det_L, bar) if bar < np.inf else None
+    path = _barrier_path(initial_guess(points, degree).coeff_vector, n, degree,
+                         slacks, tol, probe=probe)
+    return _certify(path, lambda x: (raw_points, rows, row_of),
+                    L, W, n, degree, tol)[0]
+
+
+def _certify(path, frame, L, W, n, degree, tol):
+    """Polish the multipliers of each point the barrier path yields until
+    one meets tol (two cuts, the stall rule: module docstring), map it to
+    the user's frame x = L z and return (SolveReport, x, state) there.  V
+    is the g columns of the path's slack Jacobian; frame(x) gives the
+    user-frame points, the rows of V among them and each point's row.  A
+    ConvergenceError of the path gets the last residual appended."""
+    size = len(basis_for(n, degree))
+    det_L = float(np.prod(np.diag(L)))
     cuts = (ACTIVITY_TOL,) if tol == ACTIVITY_TOL else (ACTIVITY_TOL, tol)
     res = np.inf
-    probe = _duality_probe(V, n, degree, det_L, bar) if bar < np.inf else None
-    path = _barrier_path(gvec, n, degree, slacks, tol, t0,
-                         context=lambda: f" (last residual {res:.3e})",
-                         probe=probe)
-    for gvec, t, stages, total_newton, state in path:
+    while True:
+        try:
+            x, t, stages, total_newton, state = next(path)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{exc} (last residual {res:.3e})") from None
         y0, slack, mv_full = state[0], state[4], state[-1]
-        yd = mv_full.slice_d
+        V, yd = state[5][:, :size], mv_full.slice_d
         fits = []
         for cut in cuts:        # the first fit that meets tol, else the best
             lam = _polish_multipliers(V, slack, yd, cut)
@@ -327,35 +340,37 @@ def _solve_min_volume(cs, degree, tol=1e-8, resume=None, bar=np.inf):
                 break
         last, (res, cut, lam) = res, min(fits, key=lambda fit: fit[0])
         if res <= tol:
-            info = mv_full.quadrature_info
-            if not info["converged"]:
-                raise ConvergenceError(
-                    f"final quadrature did not converge at {info['points']} "
-                    f"points (ladder delta {info['last_delta']:.3e})")
-            g_out = compose_linear(HomogeneousPoly(n, degree, gvec), W)
-            drift = float(np.max(np.abs(g_out(raw_points) - (1 - slack[row_of]))))
-            if drift > cut:
-                raise ConvergenceError(
-                    f"frame change: user-frame and whitened g* disagree by "
-                    f"{drift:.3e} at the points (activity_tol {cut:.1e})")
-            objective = det_L * y0
-            multipliers = np.zeros(len(raw_points))
-            multipliers[rows] = det_L * lam         # a dropped twin's is 0
-            yd_user = det_L * (power_matrix(L, degree) @ yd)
-            return SolveReport(
-                g_star=g_out, objective=objective,
-                volume=objective / math.gamma(1.0 + n / degree),
-                iterations=total_newton, stages=stages, t_final=t,
-                kkt_residual=res, multipliers=multipliers,
-                moment_data=MomentVector(n, degree, objective, yd_user,
-                                         quadrature_info=info),
-            )
+            break
         # gap bound met but the polished residual is not: push the path
         # on while each stage at least halves the residual
         if res > 0.5 * last:
             raise ConvergenceError(
                 f"KKT residual stalled at {res:.3e} (tolerance "
                 f"{tol:.1e}, t={t:.3e})")
+    info = mv_full.quadrature_info
+    if not info["converged"]:
+        raise ConvergenceError(
+            f"final quadrature did not converge at {info['points']} "
+            f"points (ladder delta {info['last_delta']:.3e})")
+    raw_points, rows, row_of = frame(x)
+    g_out = compose_linear(HomogeneousPoly(n, degree, x[:size]), W)
+    drift = float(np.max(np.abs(g_out(raw_points) - (1 - slack[row_of]))))
+    if drift > cut:
+        raise ConvergenceError(
+            f"frame change: user-frame and whitened g* disagree by "
+            f"{drift:.3e} at the points (activity_tol {cut:.1e})")
+    objective = det_L * y0
+    multipliers = np.zeros(len(raw_points))
+    multipliers[rows] = det_L * lam         # a dropped twin's is 0
+    yd_user = det_L * (power_matrix(L, degree) @ yd)
+    return SolveReport(
+        g_star=g_out, objective=objective,
+        volume=objective / math.gamma(1.0 + n / degree),
+        iterations=total_newton, stages=stages, t_final=t,
+        kkt_residual=res, multipliers=multipliers,
+        moment_data=MomentVector(n, degree, objective, yd_user,
+                                 quadrature_info=info),
+    ), x, state
 
 
 def _duality_probe(V, n, degree, det_L, bar):
@@ -425,8 +440,7 @@ def _dual_bound(V, P, euler, t, y0, s, yd):
     return euler * y0 - float(np.maximum(nu, 0.0).sum()), resid
 
 
-def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
-                  context=lambda: "", probe=None):
+def _barrier_path(x, n, degree, slacks, tol=1e-8, label="", probe=None):
     """Log-barrier path for Phi_t(x) = t * Integral exp(-g) - sum_i log s_i(x),
     g the degree-d form in n variables with coefficients x[:size]; any
     further entries of x are variables only the slacks depend on.
@@ -438,18 +452,19 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
     would shrink the step in every direction and stall the stages far
     from the path.
 
-    Runs a Newton stage at t, t * BARRIER_MULTIPLIER, ... from the
-    strictly feasible x (loose where C is None and the point goes unread,
-    see the module docstring) and, after each stage that meets the bound
-    m/t <= tol * y0, yields (x, t, stages, Newton steps so far, state),
-    state being (y0, Phi_t, gradient, Hessian, s, D, moment vector) at x.
-    Each iterate is integrated once: a trial's moments decide its Armijo
-    test and become the iterate's, and a stage starts from the moments and
-    objective Hessian its predecessor ended on.  Raises ConvergenceError,
-    its message `label` + reason + context(), when MAX_NEWTON_ITERS or
-    MAX_STAGES runs out.  probe, if given, is called as probe(t, y0, s,
-    moment vector) at every state returned and may end the path by raising
-    (_duality_probe).  Every quadrature climbs from one ladder hint.
+    Runs a Newton stage at t = BARRIER_T0, t * BARRIER_MULTIPLIER, ...
+    from the strictly feasible x (loose where C is None and the point goes
+    unread, see the module docstring) and, after each stage that meets the
+    bound m/t <= tol * y0, yields (x, t, stages, Newton steps so far,
+    state), state being (y0, Phi_t, gradient, Hessian, s, D, moment
+    vector) at x.  Each iterate is integrated once: a trial's moments
+    decide its Armijo test and become the iterate's, and a stage starts
+    from the moments and objective Hessian its predecessor ended on.
+    Raises ConvergenceError, its message `label` + reason, when
+    MAX_NEWTON_ITERS or MAX_STAGES runs out.  probe, if given, is called
+    as probe(t, y0, s, moment vector) at every state returned and may end
+    the path by raising (_duality_probe).  Every quadrature climbs from
+    one ladder hint.
     """
     size = len(basis_for(n, degree))
     s0, _, curvature = slacks(x, True)
@@ -494,7 +509,7 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
             probe(t, y0, s, mv)
         return y0, phi, grad, hess, s, D, mv
 
-    total = 0
+    total, t = 0, BARRIER_T0
     for stage in range(1, MAX_STAGES + 1):
         x, steps, state = _newton_stage(x, t, derivatives,
                                         MAX_NEWTON_ITERS - total, loose)
@@ -504,11 +519,11 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, t=BARRIER_T0, label="",
         if total >= MAX_NEWTON_ITERS:
             raise ConvergenceError(
                 f"{label}newton budget {MAX_NEWTON_ITERS} exhausted "
-                f"at barrier weight t={t:.3e}{context()}")
+                f"at barrier weight t={t:.3e}")
         t *= BARRIER_MULTIPLIER
     raise ConvergenceError(
         f"{label}barrier stage cap {MAX_STAGES} reached without meeting "
-        f"tolerance{context()}")
+        "tolerance")
 
 
 def _newton_stage(x, t, derivatives, budget, loose=None):

@@ -18,9 +18,8 @@ from conftest import (dball_contact_check, philox, quartic_star,
 from homfit import (ConstraintSet, HomogeneousPoly, basis_for,
                     build_certificate, initial_guess, integral_exp,
                     moment_vector, mvee_symmetric, solve_min_volume,
-                    solve_min_volume_centered, volume_sublevel)
+                    solve_min_volume_centered, solver, volume_sublevel)
 from homfit.polynomials import check_in_cone
-from homfit.solver import BARRIER_T0
 from homfit.verify import crosscheck_levelset_moment, mc_volume
 
 PI = math.pi
@@ -175,7 +174,7 @@ def test_criterion_05_kkt_certificates(disk8, dball8):
             f"mass {worst['mass']:.2e}/y0, level {worst['level']:.2e}")
 
 
-def test_criterion_06_uniqueness_probe():
+def test_criterion_06_uniqueness_probe(monkeypatch):
     rng = philox(11)
     worst = 0.0
     tol = inspect.signature(solve_min_volume).parameters["tol"].default
@@ -184,9 +183,11 @@ def test_criterion_06_uniqueness_probe():
         half = rng.normal(size=(10, 2)) @ (rng.normal(size=(2, 2)) + 1.5 * np.eye(2))
         cs = ConstraintSet(np.concatenate([half, -half]))
         rep_a = solve_min_volume(cs, d)
-        rep_b = solve_min_volume(
-            cs, d, resume=(initial_guess(cs.points, d) * (1.01 / 2.0),
-                           BARRIER_T0))
+        with monkeypatch.context() as patch:    # a distinct, feasible start
+            patch.setattr(solver, "initial_guess",
+                          lambda points, degree: initial_guess(points, degree)
+                          * (1.01 / 2.0))
+            rep_b = solve_min_volume(cs, d)
         scale = max(1.0, float(np.max(np.abs(rep_a.g_star.coeff_vector))))
         gap = float(np.max(np.abs(rep_a.g_star.coeff_vector
                                   - rep_b.g_star.coeff_vector))) / scale

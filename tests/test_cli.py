@@ -235,6 +235,23 @@ def test_collinear_exit3(tmp_path, capsys):
     assert err["error"]["type"] == "geometry"
 
 
+@pytest.mark.parametrize("points,flags", [
+    ([[1, 2], [3, 4]], ["--degree", "4"]),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], ["--degree", "6"]),
+    ([[1, 2], [3, 4], [-1, 0.5]], ["--degree", "6", "--mode", "p"]),
+], ids=["two_d4", "n3_four_d6", "three_d6_centered"])
+def test_vanishing_half_degree_form_exit3(points, flags, tmp_path, capsys):
+    # a form of degree d/2 vanishes at every point: no enclosure has
+    # minimum volume, which is a geometry error, not a spent Newton budget
+    p = tmp_path / "few.csv"
+    write_csv(p, points)
+    code, payload, _ = run_job(tmp_path, [p, *flags])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "geometry"
+    assert "vanishes at every constraint point" in err["error"]["message"]
+
+
 def test_unreachable_tolerance_exit4(tmp_path, capsys):
     rng = philox(3)
     A = rng.normal(size=(2, 2)) + 1.5 * np.eye(2)
