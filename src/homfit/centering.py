@@ -16,53 +16,36 @@ barrier gradient at its current center, and each stage is centered to
 rounding, so the stage where it yields is a central point of the
 fixed-center problem at its own center: the solver's certify step
 (solver._certify) polishes its multipliers there, one row per point, into
-a SolveReport.  That answer competes with fixed-center solves at the
-centroid and the origin; the best of the three wins, so the centered
-volume never exceeds the origin-centered one (up to solver tolerance).
-
-The centroid and origin solves run after it, each with a bar: the best
-objective so far.  At every Newton step such a solve takes a
-weak-duality lower bound on its own optimum from the moments the step
-already has (solver._duality_probe), and stops once the bound exceeds
-the bar by more than the bound's own quadrature and residual error and a
-relative 1e-9.  A stopped candidate's optimum is then provably above the
-bar, so its full solve would have lost: the winner and its report are
-those of solving all three.  A candidate that can win is never stopped,
-and one that is not stopped runs the unbarred path bit for bit.  Its
-bound and step count go to meta["pruned"]; it still counts as a
-certified candidate.
+a SolveReport, and that answer is the fit.  When the path or its
+certificate fails, the fit raises that error rather than answer at a
+center the path did not reach, which would be a quiet non-optimal fit.
+The objective at any other center a is
+solve_min_volume(cs.shifted(a), d).objective.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateInputError, NotInConeError
 from .polynomials import HomogeneousPoly, basis_for, monomial_partials
-from .solver import (SolveReport, _Pruned, _barrier_path, _certify,
-                     _check_tolerance, _solve_min_volume, _whiten,
-                     initial_guess)
+from .solver import (SolveReport, _barrier_path, _certify, _check_tolerance,
+                     _whiten, initial_guess)
 
 __all__ = ["CenteredSolveReport", "solve_min_volume_centered"]
 
 
 @dataclass
 class CenteredSolveReport:
-    """Best center and its certified answer.
+    """The joint center and its certified answer.
 
-    outer_iterations counts the Newton steps of the joint path and
-    evaluations the certified candidates, pruned or not: the joint center
-    (whose report is the joint path's own), the centroid and the origin.
-    meta holds the joint path's barrier stages ("joint_stages"), its
-    center stationarity ||sum_i lambda_i grad g(x_i - a)||_inf / y0 with
+    outer_iterations counts the Newton steps of the joint path, and
+    evaluations the certified solves: one, the joint path's own.  meta
+    holds the path's barrier stages ("joint_stages") and its center
+    stationarity ||sum_i lambda_i grad g(x_i - a)||_inf / y0 with
     lambda_i = 1/(t s_i), measured in the whitened frame
-    ("center_stationarity"), the reason the joint path was abandoned, if
-    it was ("fallback"), the candidates stopped by their bar ("pruned":
-    name -> {"bound": lower bound on its objective, "steps": derivative
-    evaluations}), and which candidate won ("chosen").
+    ("center_stationarity").
     """
 
     center: np.ndarray
@@ -75,21 +58,6 @@ class CenteredSolveReport:
     @property
     def g_star(self):
         return self.inner.g_star
-
-
-def _solve_at(cs, a, degree, tol, bar=np.inf):
-    """Fixed-center solve for the points shifted by -a, stopped once it
-    proves its optimum above a finite bar (solver._solve_min_volume).
-    Returns (objective, report), (+inf, error) when the shifted problem
-    has no solve, or (lower bound, _Pruned) when it was pruned.
-    """
-    try:
-        report = _solve_min_volume(cs.shifted(a), degree, tol, bar)
-        return report.objective, report
-    except _Pruned as cut:
-        return cut.bound, cut
-    except (ConvergenceError, DegenerateInputError, NotInConeError) as exc:
-        return np.inf, exc
 
 
 def _joint_path(points, degree, tol=1e-8):
@@ -145,52 +113,23 @@ def _joint_path(points, degree, tol=1e-8):
 
 
 def solve_min_volume_centered(cs, degree, tol=1e-8):
-    """Best center and polynomial for {x : g(x - a) <= 1} containing the
-    points.
-
-    Runs the joint (g, a) barrier path in coordinates whitened about the
-    centroid and certifies its answer at the joint center, then runs
-    fixed-center solves at the centroid and the origin, each stopped once
-    it provably loses (module docstring); the smallest objective wins.  If
-    the joint path or its certificate fails (ConvergenceError or
-    NotInConeError) only the centroid and the origin are tried, and
-    meta["fallback"] says why.
+    """Center and polynomial for {x : g(x - a) <= 1} containing the
+    points: the certified answer of the joint (g, a) barrier path, run in
+    coordinates whitened about the centroid (module docstring).  The path
+    gives a local optimum; no other center is tried.
 
     Raises DegenerateInputError if the points minus their centroid do
     not span R^n, or a nonzero form of degree d/2 vanishes at all of them
-    (the volume then tends to 0 and no minimizer exists).
-    If no candidate center admits a solve, raises the error of the first
-    candidate.  tol is the KKT tolerance of the joint path and of every
-    fixed-center solve (solver.solve_min_volume).
+    (the volume then tends to 0 and no minimizer exists);
+    ConvergenceError or NotInConeError, unchanged, when the joint path or
+    its certificate fails; ValueError for a degree that is not even and
+    >= 2.  tol is the KKT tolerance, as for solver.solve_min_volume.
     """
     _check_tolerance(tol)
-    points = cs.points
-    n = points.shape[1]
-    meta = {"joint_stages": 0, "center_stationarity": None, "fallback": None,
-            "pruned": {}}
-    results, steps = [], 0
-    try:
-        center, report, meta["center_stationarity"] = _joint_path(
-            points, degree, tol)
-        steps, meta["joint_stages"] = report.iterations, report.stages
-        results.append((report.objective, report, center, "joint"))
-    except (ConvergenceError, NotInConeError) as exc:
-        meta["fallback"] = str(exc)
-
-    best = results[0][0] if results else np.inf
-    for name, center in (("centroid", points.mean(axis=0)),
-                         ("origin", np.zeros(n))):
-        value, report = _solve_at(cs, center, degree, tol, best)
-        if isinstance(report, _Pruned):
-            meta["pruned"][name] = {"bound": value, "steps": report.steps}
-        else:
-            best = min(best, value)
-        results.append((value, report, center, name))
-    value, report, center, meta["chosen"] = min(results, key=lambda r: r[0])
-    if not np.isfinite(value):
-        raise report
+    center, report, stationarity = _joint_path(cs.points, degree, tol)
     return CenteredSolveReport(
-        center=center, inner=report,
-        volume=value / math.gamma(1.0 + n / degree),
-        outer_iterations=steps, evaluations=len(results), meta=meta,
+        center=center, inner=report, volume=report.volume,
+        outer_iterations=report.iterations, evaluations=1,
+        meta={"joint_stages": report.stages,
+              "center_stationarity": stationarity},
     )

@@ -55,8 +55,7 @@ def build_parser():
     parser.add_argument("--degree", type=int, default=2, help="even degree of g (default 2)")
     parser.add_argument("--mode", choices=("p0", "p"), default="p0",
                         help="p0: center fixed at origin; p: optimize the center "
-                             "jointly with g, then keep the best of that center, "
-                             "the centroid and the origin")
+                             "jointly with g")
     parser.add_argument("--budget", type=int, default=2000,
                         help="sample budget for semialgebraic sets (default 2000)")
     parser.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
@@ -299,10 +298,8 @@ def run(args):
         if args.mode == "p":
             payload["outer"] = {
                 "iterations": centered.outer_iterations,
-                "inner_solves": centered.evaluations,
                 "joint_stages": centered.meta["joint_stages"],
                 "center_stationarity": centered.meta["center_stationarity"],
-                "fallback": centered.meta["fallback"],
             }
     except (EmptySetError, DegenerateInputError) as exc:
         _emit_error("geometry", str(exc))

@@ -32,14 +32,12 @@ The barrier path (_barrier_path), the whitening (_whiten) and the polish
 with its map to the user's frame (_certify) are shared with the centered
 fit, whose slacks 1 - g(x_i - a) also depend on a center a; each caller
 gives its slacks, their derivatives and each iterate's frame.  The
-centered fit's losing candidates run with a bar (_solve_min_volume): a
-weak-duality bound taken at every step (_duality_probe) stops the solve
-once it proves the optimum above the bar.  The schedule is fixed: t
-starts at BARRIER_T0 and grows by BARRIER_MULTIPLIER for at most
-MAX_STAGES stages, which together take at most MAX_NEWTON_ITERS Newton
-steps, and the line search backtracks by BACKTRACK_RATIO until Phi_t
-drops by ARMIJO_SLOPE times the predicted decrease.  Both fits start
-from initial_guess with FEASIBILITY_MARGIN headroom.
+schedule is fixed: t starts at BARRIER_T0 and grows by
+BARRIER_MULTIPLIER for at most MAX_STAGES stages, which together take at
+most MAX_NEWTON_ITERS Newton steps, and the line search backtracks by
+BACKTRACK_RATIO until Phi_t drops by ARMIJO_SLOPE times the predicted
+decrease.  Both fits start from initial_guess with FEASIBILITY_MARGIN
+headroom.
 
 The line search gives up, and the stage ends, once the predicted decrease
 alpha * |grad^T p| falls below PHI_ROUNDING * |Phi_t(x)|, or alpha below
@@ -118,7 +116,6 @@ PHI_ROUNDING = 1e-15         # relative rounding of Phi_t (module docstring)
 LOOSE_DECREMENT = 0.5        # stop of stages whose point goes unread
 FEASIBILITY_MARGIN = 0.01    # initial-guess headroom
 ACTIVITY_TOL = 1e-6          # first contact cut: slacks at or below it
-PRUNE_MARGIN = 1e-9          # relative lead of a pruning bound over its bar
 
 
 def _check_tolerance(tol):
@@ -271,25 +268,6 @@ def solve_min_volume(cs, degree, tol=1e-8):
     all of them (g + c q^2 stays feasible as c grows, its volume tending
     to 0); ConvergenceError if tol is not reached within the budget.
     """
-    return _solve_min_volume(cs, degree, tol)
-
-
-class _Pruned(Exception):
-    """A barred solve proved its optimum above its bar: bound is the
-    weak-duality lower bound (user frame) and steps the derivative
-    states it took."""
-
-    def __init__(self, bound, steps):
-        super().__init__(f"lower bound {bound:.6e} after {steps} steps")
-        self.bound, self.steps = bound, steps
-
-
-def _solve_min_volume(cs, degree, tol=1e-8, bar=np.inf):
-    """solve_min_volume with a bar: at every Newton step the weak-duality
-    bound of _duality_probe is taken, and once it exceeds bar by the
-    probe's margin the solve stops with _Pruned.  An infinite bar never
-    prunes; the bound only reads the step's moments, so a solve that is
-    not pruned takes the unbarred path bit for bit."""
     _check_tolerance(tol)
     if degree < 2 or degree % 2:
         raise ValueError(f"degree must be even and >= 2, got {degree}")
@@ -306,10 +284,8 @@ def _solve_min_volume(cs, degree, tol=1e-8, bar=np.inf):
         s = 1.0 - V @ vec
         return (s, V, None) if jacobian else s
 
-    det_L = float(np.prod(np.diag(L)))
-    probe = _duality_probe(V, n, degree, det_L, bar) if bar < np.inf else None
     path = _barrier_path(initial_guess(points, degree).coeff_vector, n, degree,
-                         slacks, tol, probe=probe)
+                         slacks, tol)
     return _certify(path, lambda x: (raw_points, rows, row_of),
                     L, W, n, degree, tol)[0]
 
@@ -373,74 +349,7 @@ def _certify(path, frame, L, W, n, degree, tol):
     ), x, state
 
 
-def _duality_probe(V, n, degree, det_L, bar):
-    """Probe for _barrier_path that raises _Pruned once the weak-duality
-    bound at the current step proves the optimum above bar, None when the
-    (m, size) constraint matrix V of the whitened points lacks full column
-    rank (then V^T nu = I_d may have no solution; where V is nearly
-    rank-deficient, P and with it err below are large, and nothing is
-    pruned).
-
-    For g in the positivity cone with moments y0 and I_d, and any nu with
-    V^T nu = I_d, every feasible g' (also in the cone, so 0 <= g'(x_i) <=
-    1) has, by convexity of f = Integral exp(-g) with gradient -I_d and
-    Euler's identity g^T I_d = (n/d) y0 (Boyd & Vandenberghe, Convex
-    Optimization, 5.2),
-
-        f(g') >= y0 - I_d^T (g' - g) = (1 + n/d) y0 - sum_i nu_i g'(x_i)
-              >= (1 + n/d) y0 - sum_i max(nu_i, 0),
-
-    at any iterate, central or not; det L times it bounds the user-frame
-    objective.  nu is mu = lambda - 1/t = (1 - s) / (t s), the barrier
-    dual lambda = 1/(t s) less 1/t, plus the minimum-norm correction
-    P (I_d - V^T mu), P = pinv(V^T) = V (V^T V)^-1, built once.  At a central point
-    V^T lambda = I_d, and before taking positive parts lambda bounds by
-    y0 - m/t, the barrier's gap, while nu bounds by y0 - |Pi 1|^2 / t, Pi
-    the projection onto the range of V: no worse, and on the benchmark's
-    centered fits it pruned after 71 derivative evaluations where lambda
-    took 93.  The bound assumes exact moments and an exact nu.  The moments
-    carry the ladder's error, taken to be at most its last delta relative
-    to each slice's largest entry, and nu a residual r; moving nu by
-    P (error of I_d + r) restores both, which changes the bound by at most
-    err = (1 + n/d) delta y0 + sum|P| (delta |I_d|_inf + |r|_inf).  The
-    probe prunes once bound - 2 err > (1 + PRUNE_MARGIN) bar: the optimum
-    then exceeds bar by more than the bar's own quadrature error, so a
-    full solve would have lost to it.  It counts its calls, one per state
-    the path's derivatives return, as the steps.
-    """
-    try:
-        C = np.linalg.cholesky(V.T @ V)
-    except np.linalg.LinAlgError:
-        return None
-    P = np.linalg.solve(C.T, np.linalg.solve(C, V.T)).T     # V (V^T V)^-1
-    spread = float(np.abs(P).sum())     # |P r|_1 <= spread |r|_inf
-    euler = 1.0 + n / degree
-    steps = 0
-
-    def probe(t, y0, s, mv):
-        nonlocal steps
-        steps += 1
-        yd, delta = mv.slice_d, mv.quadrature_info["last_delta"]
-        bound, resid = _dual_bound(V, P, euler, t, y0, s, yd)
-        err = euler * delta * y0 + spread * (delta * float(np.max(np.abs(yd)))
-                                             + resid)
-        if det_L * (bound - 2.0 * err) > (1.0 + PRUNE_MARGIN) * bar:
-            raise _Pruned(det_L * bound, steps)
-
-    return probe
-
-
-def _dual_bound(V, P, euler, t, y0, s, yd):
-    """The whitened-frame bound euler y0 - sum_i max(nu_i, 0) of
-    _duality_probe, nu = mu + P (yd - V^T mu), mu = (1 - s) / (t s), and
-    the residual |yd - V^T nu|_inf."""
-    mu = (1.0 - s) / (t * s)
-    nu = mu + P @ (yd - V.T @ mu)
-    resid = float(np.max(np.abs(yd - V.T @ nu)))
-    return euler * y0 - float(np.maximum(nu, 0.0).sum()), resid
-
-
-def _barrier_path(x, n, degree, slacks, tol=1e-8, label="", probe=None):
+def _barrier_path(x, n, degree, slacks, tol=1e-8, label=""):
     """Log-barrier path for Phi_t(x) = t * Integral exp(-g) - sum_i log s_i(x),
     g the degree-d form in n variables with coefficients x[:size]; any
     further entries of x are variables only the slacks depend on.
@@ -461,9 +370,7 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, label="", probe=None):
     decide its Armijo test and become the iterate's, and a stage starts
     from the moments and objective Hessian its predecessor ended on.
     Raises ConvergenceError, its message `label` + reason, when
-    MAX_NEWTON_ITERS or MAX_STAGES runs out.  probe, if given, is called
-    as probe(t, y0, s, moment vector) at every state returned and may end
-    the path by raising (_duality_probe).  Every quadrature climbs from
+    MAX_NEWTON_ITERS or MAX_STAGES runs out.  Every quadrature climbs from
     one ladder hint.
     """
     size = len(basis_for(n, degree))
@@ -505,8 +412,6 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, label="", probe=None):
             lam, vec = np.linalg.eigh(hess)
             if lam[0] < 0.0:
                 hess = (vec * np.abs(lam)) @ vec.T
-        if probe is not None:
-            probe(t, y0, s, mv)
         return y0, phi, grad, hess, s, D, mv
 
     total, t = 0, BARRIER_T0

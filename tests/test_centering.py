@@ -7,11 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import imported_names, philox, symmetric_cloud
+from conftest import imported_names, philox, random_cloud, symmetric_cloud
 from homfit import (ConstraintSet, ConvergenceError, DegenerateInputError,
-                    KDescription, centering, solve_min_volume,
+                    KDescription, NotInConeError, centering, solve_min_volume,
                     solve_min_volume_centered, solver, to_constraints)
-from homfit.solver import _whiten
 
 PI = math.pi
 
@@ -26,7 +25,11 @@ OFFSET_ELLIPSE = KDescription(
 def rho(a, cs, degree):
     """Optimal objective for the points shifted by -a; +inf when that
     solve fails."""
-    return centering._solve_at(cs, np.asarray(a, dtype=float), degree, 1e-8)[0]
+    try:
+        return solve_min_volume(cs.shifted(np.asarray(a, dtype=float)),
+                                degree).objective
+    except (ConvergenceError, DegenerateInputError, NotInConeError):
+        return np.inf
 
 
 def assert_best_center(rep, cs, degree):
@@ -158,6 +161,15 @@ def test_one_barrier_path():
     assert not [node.name for node in ast.walk(ast.parse(
                 Path(centering.__file__).read_text()))
                 if isinstance(node, ast.FunctionDef) and "resume" in node.name]
+    # one path per centered fit: no fixed-center solve beside it, and no
+    # bar or pruning probe in the solver
+    assert not imported & {"solve_min_volume", "_solve_min_volume", "_solve_at"}
+    tree = ast.parse(Path(solver.__file__).read_text())
+    defined = {node.name: node for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not set(defined) & {"_Pruned", "_duality_probe", "_dual_bound"}
+    assert "probe" not in [arg.arg for arg in
+                           defined["_barrier_path"].args.args]
 
 
 def test_two_points_have_no_centered_fit():
@@ -192,7 +204,6 @@ def test_seeded_family_is_locally_optimal(case):
     cloud, degree = LOCAL_CASES[case]
     cs = ConstraintSet(cloud())
     rep = solve_min_volume_centered(cs, degree)
-    assert rep.meta["fallback"] is None
     assert rep.meta["center_stationarity"] <= 1e-5
     assert_best_center(rep, cs, degree)
 
@@ -202,26 +213,22 @@ def test_sampled_ellipse_with_kinked_rho():
     # differ in sign along both axes, which stalls a gradient method on rho
     cs = to_constraints(OFFSET_ELLIPSE, budget=300, seed=0)
     rep = solve_min_volume_centered(cs, 2)
-    assert rep.meta["chosen"] == "joint"
     assert np.allclose(rep.center, [0.5, 0.0], atol=1e-2)
     # the samples lie inside the ellipse, of area pi * 5/8
     assert rep.volume <= 0.625 * PI * (1.0 + 1e-9)
     assert_best_center(rep, cs, 2)
 
 
-def test_joint_failure_falls_back(monkeypatch):
+def test_joint_failure_raises(monkeypatch):
+    # a failed joint path is the fit's failure: no answer at another center
     def fail(*args):
         raise ConvergenceError("joint path: stage cap reached")
 
     monkeypatch.setattr(centering, "_joint_path", fail)
     pts = philox(8).normal(size=(12, 2)) + np.array([1.5, -0.5])
-    cs = ConstraintSet(pts)
-    rep = solve_min_volume_centered(cs, 2)
-    assert rep.meta["fallback"] == "joint path: stage cap reached"
-    assert rep.evaluations == 2 and rep.outer_iterations == 0
-    best = min(solve_min_volume(cs.shifted(a), 2).objective
-               for a in (pts.mean(axis=0), np.zeros(2)))
-    assert rep.inner.objective == best
+    with pytest.raises(ConvergenceError) as caught:
+        solve_min_volume_centered(ConstraintSet(pts), 2)
+    assert str(caught.value) == "joint path: stage cap reached"
 
 
 @pytest.mark.parametrize("seed,volume", [(82, 0.186193), (93, 0.268672)])
@@ -234,7 +241,6 @@ def test_anisotropic_quartic_keeps_joint_center(seed, volume):
     m = rng.integers(6, 16)
     pts = rng.normal(size=(m, 2)) @ A + 2.0 * rng.normal(size=2)
     rep = solve_min_volume_centered(ConstraintSet(pts), 4)
-    assert rep.meta["chosen"] == "joint"
     assert rep.volume < 0.3
     assert rep.volume == pytest.approx(volume, rel=1e-5)
 
@@ -251,22 +257,25 @@ CENTERED_CASES = {
 
 @pytest.mark.parametrize("case", list(CENTERED_CASES))
 def test_joint_candidate_runs_no_fixed_solve(case, monkeypatch):
-    # the joint path certifies its own answer: the only fixed-center solves
-    # are the centroid's and the origin's
+    # the joint path certifies its own answer: the fit runs one barrier
+    # path, the joint one, and no fixed-center solve
     make, degree = CENTERED_CASES[case]
-    solves = []
+    paths = []
 
-    def counted(*args):
-        solves.append(args)
-        return solver._solve_min_volume(*args)
+    def counted(*args, **kwargs):
+        paths.append(kwargs.get("label"))
+        return solver._barrier_path(*args, **kwargs)
 
-    monkeypatch.setattr(centering, "_solve_min_volume", counted)
+    def never(*args, **kwargs):
+        raise AssertionError("the centered fit ran a fixed-center solve")
+
+    monkeypatch.setattr(centering, "_barrier_path", counted)
+    monkeypatch.setattr(solver, "solve_min_volume", never)
     rep = solve_min_volume_centered(ConstraintSet(make()), degree)
-    assert rep.evaluations == 3 and len(solves) == 2
-    if rep.meta["chosen"] == "joint":
-        assert rep.inner.iterations == rep.outer_iterations
-        assert rep.inner.stages == rep.meta["joint_stages"]
-        assert rep.inner.kkt_residual <= 1e-8
+    assert rep.evaluations == 1 and paths == ["joint path: "]
+    assert rep.inner.iterations == rep.outer_iterations
+    assert rep.inner.stages == rep.meta["joint_stages"]
+    assert rep.inner.kkt_residual <= 1e-8
 
 
 def test_solver_picks_contacts_near_the_optimal_center():
@@ -275,7 +284,6 @@ def test_solver_picks_contacts_near_the_optimal_center():
     # refits on the tol cut instead of running another solve
     cloud = philox(46).normal(size=(9, 2)) + np.array([1.0, 0.5])
     rep = solve_min_volume_centered(ConstraintSet(cloud), 2)
-    assert rep.evaluations == 3
     assert rep.inner.iterations == rep.outer_iterations
     fixed = solve_min_volume(ConstraintSet(cloud - rep.center), 2)
     for report in (rep.inner, fixed):
@@ -284,66 +292,25 @@ def test_solver_picks_contacts_near_the_optimal_center():
     assert fixed.volume == pytest.approx(rep.volume, rel=1e-8)
 
 
-@pytest.mark.parametrize("degree", [2, 4])
-def test_duality_bound_stays_below_the_optimum(degree, monkeypatch):
-    # every bound the probe takes along a solve, at any iterate, is at
-    # most that solve's optimum; a bar the bound never reaches leaves the
-    # solve on the unbarred path, bit for bit
-    bounds = []
-    dual_bound = solver._dual_bound
-
-    def recorded(*args):
-        bounds.append(dual_bound(*args)[0])
-        return dual_bound(*args)
-
-    monkeypatch.setattr(solver, "_dual_bound", recorded)
-    rng = philox(60 + degree)
-    for seed in range(6):
-        cloud = seeded_cloud(70 + seed)
-        for a in (cloud.mean(axis=0), np.zeros(2), 3.0 * rng.normal(size=2)):
-            shifted = ConstraintSet(cloud).shifted(a)
-            bounds.clear()
-            barred = solver._solve_min_volume(shifted, degree, bar=1e300)
-            assert len(bounds) > barred.iterations
-            det_L = float(np.prod(np.diag(_whiten(shifted.points, "")[0])))
-            assert max(bounds) * det_L <= barred.objective * (1.0 + 1e-9)
-            assert barred.objective == solve_min_volume(shifted, degree).objective
-
-
-def test_pruning_never_drops_the_winner(monkeypatch):
-    # a joint center two scatter radii off the centroid loses to it: the
-    # centroid, solved with that bar, is never pruned, and wins with the
-    # plain solve's objective; the origin, far off, is pruned
-    def far_off(points, degree, tol=1e-8):
-        centroid = points.mean(axis=0)
-        L = _whiten(points - centroid, "")[0]
-        center = centroid + L @ np.full(points.shape[1], 2.0)
-        report = solve_min_volume(ConstraintSet(points).shifted(center), degree)
-        return center, report, 0.0
-
-    monkeypatch.setattr(centering, "_joint_path", far_off)
-    pts = philox(8).normal(size=(12, 2)) + np.array([4.0, -3.0])
-    cs = ConstraintSet(pts)
-    rep = solve_min_volume_centered(cs, 2)
-    assert rep.meta["chosen"] == "centroid" and rep.evaluations == 3
-    assert rep.inner.objective == \
-        solve_min_volume(cs.shifted(pts.mean(axis=0)), 2).objective
-    assert list(rep.meta["pruned"]) == ["origin"]
-    assert rep.meta["pruned"]["origin"]["bound"] > rep.inner.objective
-
-
 @pytest.mark.parametrize("case", list(CENTERED_CASES))
 def test_pruned_candidates_lose(case):
-    # a pruned candidate's bound is above the winner's objective and below
-    # its own optimum, so its full solve would have lost
+    # fixed-center solves at the centroid and the origin lose to the joint
+    # answer by more than the tolerance on the seeded family and every
+    # benchmark instance
     make, degree = CENTERED_CASES[case]
     cs = ConstraintSet(make())
     rep = solve_min_volume_centered(cs, degree)
-    assert rep.evaluations == 3 and rep.meta["pruned"]
-    centers = {"centroid": cs.points.mean(axis=0), "origin": np.zeros(2)}
-    for name, cut in rep.meta["pruned"].items():
-        assert cut["bound"] > rep.inner.objective * (1.0 + 1e-9)
-        assert 0 < cut["steps"]
-        full = solve_min_volume(cs.shifted(centers[name]), degree)
-        assert full.objective >= cut["bound"] * (1.0 - 1e-9)
-        assert cut["steps"] < full.iterations
+    for a in (cs.points.mean(axis=0), np.zeros(2)):
+        assert rho(a, cs, degree) > rep.inner.objective * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_criterion_08_seeded_property(degree):
+    # every seeded fit returns, and the centered volume never exceeds the
+    # origin-centered one: the paper's P is never worse than P0
+    clouds = [random_cloud(seed, 2, 25) + np.array([2.0, -1.0])
+              for seed in range(15)] + [seeded_cloud(seed) for seed in range(15)]
+    for cloud in clouds:
+        cs = ConstraintSet(cloud)
+        centered = solve_min_volume_centered(cs, degree).volume
+        assert centered <= solve_min_volume(cs, degree).volume * (1.0 + 1e-9)

@@ -177,6 +177,9 @@ def test_warm_start_and_validation(disk4):
         solve_min_volume(disk4, 2, tol=0.0)
     with pytest.raises(ValueError, match=r"^tol must be in \(0, 1\)"):
         solve_min_volume_centered(disk4, 2, tol=1.0)
+    for degree in (0, 1, 3):
+        with pytest.raises(ValueError):
+            solve_min_volume_centered(disk4, degree)
 
 
 def test_iteration_budget_exhaustion(monkeypatch):
