@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polynomials import HomogeneousPoly, basis_for, monomial_partials
-from .solver import (SolveReport, _barrier_path, _certify, _check_tolerance,
+from .solver import (SolveReport, _barrier_path, _certify, _check_arguments,
                      _whiten, initial_guess)
 
 __all__ = ["CenteredSolveReport", "solve_min_volume_centered"]
@@ -125,7 +125,7 @@ def solve_min_volume_centered(cs, degree, tol=1e-8):
     its certificate fails; ValueError for a degree that is not even and
     >= 2.  tol is the KKT tolerance, as for solver.solve_min_volume.
     """
-    _check_tolerance(tol)
+    _check_arguments(degree, tol)
     center, report, stationarity = _joint_path(cs.points, degree, tol)
     return CenteredSolveReport(
         center=center, inner=report, volume=report.volume,

@@ -11,7 +11,7 @@ Algorithm: log-barrier path following.  For increasing t, minimize
 
     Phi_t(g) = t * Integral exp(-g) - sum_i log(1 - g(x_i))
 
-by damped Newton steps (Cholesky with escalating ridge, Armijo
+by damped Newton steps (a Cholesky solve with the Hessian as it is, Armijo
 backtracking that rejects steps leaving the positivity cone), then grow
 t by a fixed factor until the duality-gap bound m/t is below tolerance.
 Barrier multipliers 1/(t*(1-g(x_i))) are then polished by a nonnegative
@@ -118,10 +118,13 @@ FEASIBILITY_MARGIN = 0.01    # initial-guess headroom
 ACTIVITY_TOL = 1e-6          # first contact cut: slacks at or below it
 
 
-def _check_tolerance(tol):
-    """ValueError unless the KKT tolerance tol lies in (0, 1)."""
+def _check_arguments(degree, tol):
+    """ValueError unless the KKT tolerance tol lies in (0, 1) and the
+    degree is even and >= 2."""
     if not (0 < tol < 1):
         raise ValueError("tol must be in (0, 1)")
+    if degree < 2 or degree % 2:
+        raise ValueError(f"degree must be even and >= 2, got {degree}")
 
 
 @dataclass
@@ -268,9 +271,7 @@ def solve_min_volume(cs, degree, tol=1e-8):
     all of them (g + c q^2 stays feasible as c grows, its volume tending
     to 0); ConvergenceError if tol is not reached within the budget.
     """
-    _check_tolerance(tol)
-    if degree < 2 or degree % 2:
-        raise ValueError(f"degree must be even and >= 2, got {degree}")
+    _check_arguments(degree, tol)
     raw_points = cs.points
     n = raw_points.shape[1]
     rows, row_of = _distinct_rows(raw_points, mirror=True)
@@ -356,10 +357,8 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, label=""):
 
     slacks(x) returns s(x); slacks(x, True) returns (s, D, C): D = -ds/dx,
     and C = -sum_i (d2 s_i / dx2) / s_i, or None when x is g alone and
-    the slacks are linear in it.  With C the Hessian may be indefinite:
-    its negative eigenvalues are flipped, where the ridge of _newton_step
-    would shrink the step in every direction and stall the stages far
-    from the path.
+    the slacks are linear in it.  With C the Hessian may be indefinite,
+    and _newton_step then takes its modified Newton step.
 
     Runs a Newton stage at t = BARRIER_T0, t * BARRIER_MULTIPLIER, ...
     from the strictly feasible x (loose where C is None and the point goes
@@ -401,17 +400,12 @@ def _barrier_path(x, n, degree, slacks, tol=1e-8, label=""):
             last.update(x=x, mv=mv, hess_f=mv.hessian_matrix())
         y0, grad_f, hess_f = mv.y0, -mv.slice_d, last["hess_f"]
         s, D, curvature = slacks(x, True)
-        if curvature is None:       # one m x size temporary per step
-            grad = t * grad_f + D.T @ (1.0 / s)
-            hess = t * hess_f + (D / s[:, None] ** 2).T @ D
-        else:
-            scaled = D * (1.0 / s)[:, None]
-            grad, hess = scaled.sum(axis=0), scaled.T @ scaled + curvature
-            grad[:size] += t * grad_f
-            hess[:size, :size] += t * hess_f
-            lam, vec = np.linalg.eigh(hess)
-            if lam[0] < 0.0:
-                hess = (vec * np.abs(lam)) @ vec.T
+        scaled = D / s[:, None]     # one m x size temporary per step
+        grad, hess = scaled.sum(axis=0), scaled.T @ scaled
+        grad[:size] += t * grad_f
+        hess[:size, :size] += t * hess_f
+        if curvature is not None:
+            hess += curvature
         return y0, phi, grad, hess, s, D, mv
 
     total, t = 0, BARRIER_T0
@@ -439,10 +433,9 @@ def _newton_stage(x, t, derivatives, budget, loose=None):
     not <= bound (default +inf), and may raise NotInConeError.  A trial is
     one call, bounded by the Armijo test: a state it returns is the next
     iterate's, and a None or a NotInConeError rejects the trial, so the
-    state in hand is always the current x's.  An indefinite Hessian is made
-    positive definite by the escalating ridge of _newton_step, so every
-    step is a descent direction.  Stops on the scale-aware decrement test,
-    at decrement LOOSE_DECREMENT where loose(t, y0), given on convex paths,
+    state in hand is always the current x's.  Every step of _newton_step
+    is a descent direction.  Stops on the scale-aware decrement test, at
+    decrement LOOSE_DECREMENT where loose(t, y0), given on convex paths,
     holds at the current x (module docstring), after six steps that fail to
     halve the decrement (a convex path's damped-phase steps excepted), when
     the line search finds no Armijo point above Phi_t's rounding (module
@@ -493,20 +486,18 @@ def _residual_from_parts(V, lam, yd, slack, y0):
 
 
 def _newton_step(hess, grad):
-    """Solve H s = -grad by Cholesky with an escalating ridge, from 1e-12
-    times trace / dim, or times the largest |diagonal| entry where the
-    trace is not positive.  Falls back to least squares, or to -grad where
-    that is no descent direction."""
-    dim = hess.shape[0]
-    trace = float(np.trace(hess))
-    scale = trace / dim if trace > 0.0 else float(np.max(np.abs(np.diag(hess))))
-    ridge = 1e-12 * scale
-    for _ in range(12):
-        try:
-            c = np.linalg.cholesky(hess + ridge * np.eye(dim))
-            return -np.linalg.solve(c.T, np.linalg.solve(c, grad))
-        except np.linalg.LinAlgError:
-            ridge = max(ridge * 100.0, 1e-300)
-    # fall back to least squares on a hopeless factorization
-    step, *_ = np.linalg.lstsq(hess, -grad, rcond=None)
-    return step if grad @ step < 0.0 else -grad
+    """Solve H s = -grad with the Cholesky factor of H as it is.  Where H
+    is not positive definite (the joint path's curved slacks), take the
+    modified Newton step -V |Lambda|^{-1} V^T grad, H = V Lambda V^T, each
+    |lambda| floored at dim * eps * max |lambda|: a descent direction.
+    Nothing is added to H: Cholesky's accuracy does not change under
+    diagonal scaling, and a shift would outweigh the smallest eigenvalues
+    late on the path, the curvature along the active face it polishes."""
+    try:
+        c = np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError:
+        lam, vec = np.linalg.eigh(hess)
+        mag = np.abs(lam)
+        mag = np.maximum(mag, len(lam) * np.finfo(float).eps * mag.max())
+        return -vec @ ((vec.T @ grad) / mag)
+    return -np.linalg.solve(c.T, np.linalg.solve(c, grad))

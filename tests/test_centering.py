@@ -171,6 +171,14 @@ def test_one_barrier_path():
     assert "probe" not in [arg.arg for arg in
                            defined["_barrier_path"].args.args]
 
+    def called(node):
+        return {getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                for call in ast.walk(node) if isinstance(call, ast.Call)}
+    # the Newton step factors the Hessian as it is: no least-squares
+    # fallback in the solver, and no eigenvalue flip on the path
+    assert "lstsq" not in called(tree)
+    assert "eigh" not in called(defined["_barrier_path"])
+
 
 def test_two_points_have_no_centered_fit():
     # they span R^2 from the origin, but centered on their midpoint the
