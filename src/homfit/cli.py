@@ -34,7 +34,7 @@ from .constraints import (ConstraintSet, KDescription, inclusion_check,
 from .errors import (CertificateError, ConvergenceError, DegenerateInputError,
                      EmptySetError, NotInConeError)
 from .oracle import mvee_symmetric
-from .polynomials import _format_key, _hessian_alias, positivity_floor
+from .polynomials import _format_key, _q_matrix_from_coeffs, positivity_floor
 from .solver import solve_min_volume
 
 __all__ = ["build_parser", "load_description", "run", "main", "emit_contours"]
@@ -131,12 +131,6 @@ def load_description(path):
     if any(len(cells) != width for _, cells in lines):
         raise ValueError(f"{path}: rows have inconsistent dimension")
     return ConstraintSet(values.reshape(len(lines), width))
-
-
-def _q_matrix_from_coeffs(g):
-    # d = 2 only: g(x) = x'Qx with Q_ii = g_{2e_i}, Q_ij = g_{e_i+e_j}/2
-    Q = g.coeff_vector[_hessian_alias(g.n, 1)]
-    return np.where(np.eye(g.n, dtype=bool), Q, 0.5 * Q)
 
 
 def _check_contour_dimension(n):

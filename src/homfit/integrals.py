@@ -7,17 +7,26 @@ closed form gives, for any multi-index a,
     I_a(g) = Integral_{R^n} x^a exp(-g(x)) dx
            = Gamma((n+|a|)/d) / d * Integral_{S^{n-1}} u^a g(u)^{-(n+|a|)/d} dS(u),
 
-so every moment is a smooth integral over the unit sphere.  The sphere
-integral is evaluated on the Gauss product grid of `spheres`, whose
-resolution doubles from about START_POINTS nodes until two consecutive
-levels agree to TOLERANCE (relative) or the next level would exceed
-MAX_POINTS; both sizes count the full sphere grid, although only half of
-its nodes are evaluated.  Gauss levels are not nested, so the self-check
-compares the accuracy of two rules rather than refining one.  The
-exception is n = 2, whose rule is the trapezoid rule on the circle: the
-half grid of resolution r / 2 is every other node of resolution r, bit
-for bit, so a call's first pair costs one level evaluation, the coarse
-sums being the even nodes' sums with doubled weights (_level).
+so every moment is a smooth integral over the unit sphere.
+
+At d = 2, g(x) = x^T Q x and exp(-g) is a Gaussian, so the slices are
+closed-form: y0 = pi^(n/2) det(Q)^(-1/2) and, with Sigma = Q^-1 / 2, each
+slice follows from the one two below by Isserlis' theorem,
+I_a = sum_j Sigma_ij (a - e_i)_j I_(a - e_i - e_j) for i the first nonzero
+axis of a.  One eigh of Q gives det Q, Sigma and the cone test, since its
+least eigenvalue is the minimum of g on the sphere.
+
+Every other degree runs the sphere ladder: the sphere integral is
+evaluated on the Gauss product grid of `spheres`, whose resolution
+doubles from about START_POINTS nodes until two consecutive levels agree
+to TOLERANCE (relative) or the next level would exceed MAX_POINTS; both
+sizes count the full sphere grid, although only half of its nodes are
+evaluated.  Gauss levels are not nested, so the self-check compares the
+accuracy of two rules rather than refining one.  The exception is n = 2,
+whose rule is the trapezoid rule on the circle: the half grid of
+resolution r / 2 is every other node of resolution r, bit for bit, so a
+call's first pair costs one level evaluation, the coarse sums being the
+even nodes' sums with doubled weights (_level).
 
 A caller that integrates a sequence of similar integrands (the Newton
 iterates of one barrier path) passes a hint: a dict holding the
@@ -67,8 +76,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotInConeError
-from .polynomials import (_hessian_alias, _parse_key, basis_for,
-                          monomial_matrix, positivity_floor)
+from .polynomials import (_degree_step, _hessian_alias, _parse_key, _positions,
+                          _q_matrix_from_coeffs, basis_for, monomial_matrix,
+                          positivity_floor)
 from .spheres import grid_size, half_grid_factors, resolution_for_budget
 
 __all__ = [
@@ -188,16 +198,45 @@ def _level(g, degrees, resolution, floor, nested=False):
     return (totals, count, halves) if nested else (totals, count)
 
 
+@lru_cache(maxsize=64)
+def _isserlis_step(n, k):
+    """For a in basis_for(n, k): i, its first nonzero axis; b = a - e_i; and
+    the position of each b - e_j in basis_for(n, k - 2) (0 where b_j = 0)."""
+    lead, parent, _ = _degree_step(n, k)
+    b = basis_for(n, k - 1).exponents[parent]
+    below = b[:, None, :] - np.eye(n, dtype=np.int64)
+    below[b == 0] = basis_for(n, k - 2).exponents[0]
+    return lead, b, _positions(basis_for(n, k - 2), below.reshape(-1, n)).reshape(-1, n)
+
+
 def _angular_integrals(g, degrees, hint=None):
     """The moment slices of exp(-g) of the even total degrees in `degrees`,
-    ascending; degree 0 is the mass.
+    ascending (0 is the mass), and an info dict; the k-slice holds I_a for
+    every a in basis_for(n, k), in that order.  d = 2 takes the closed form
+    (module docstring): info 0 points, converged, delta 0, `hint` untouched.
+    Other degrees run _sphere_ladder."""
+    if g.degree != 2:
+        return _sphere_ladder(g, degrees, hint)
+    lam, vec = np.linalg.eigh(_q_matrix_from_coeffs(g))
+    if lam[0] <= positivity_floor(g):
+        raise NotInConeError(f"g is not strictly positive on the sphere "
+                             f"(minimum {lam[0]:.3e}); moments diverge")
+    sigma = (vec / (2.0 * lam)) @ vec.T
+    slices = [np.array([math.pi ** (g.n / 2) / math.sqrt(float(np.prod(lam)))])]
+    for k in range(2, max(degrees) + 1, 2):
+        lead, b, below = _isserlis_step(g.n, k)
+        slices.append(np.sum(sigma[lead] * b * slices[-1][below], axis=1))
+    return ([slices[k // 2] for k in degrees],
+            {"points": 0, "converged": True, "last_delta": 0.0})
 
-    Returns (list of arrays, info dict): the k-slice holds
-    Gamma((n+k)/d)/d times the sphere integral of u^a * g(u)^(-(n+k)/d)
-    for every a in basis_for(n, k), in that order.  Doubles the grid from
-    about START_POINTS nodes until two consecutive levels agree within
-    TOLERANCE (each slice scaled by its own largest component) or the next
-    level would exceed MAX_POINTS.  At n = 2 the first pair takes one
+
+def _sphere_ladder(g, degrees, hint=None):
+    """The slices of _angular_integrals on the sphere ladder: the k-slice
+    is Gamma((n+k)/d)/d times the sphere integral of u^a * g(u)^(-(n+k)/d)
+    for every a in basis_for(n, k).  Doubles the grid from about
+    START_POINTS nodes until two consecutive levels agree within TOLERANCE
+    (each slice scaled by its own largest component) or the next level
+    would exceed MAX_POINTS.  At n = 2 the first pair takes one
     level evaluation (_level's nested sums).
 
     `hint` is an optional mutable dict, the ladder's memory between calls

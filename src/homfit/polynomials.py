@@ -175,17 +175,26 @@ def monomial_partials(x, exponents, derivatives):
     return values.reshape(len(values), len(derivatives), -1)
 
 
+def _positions(basis, exps):
+    """Positions in `basis` of its members `exps`: graded-lex order within one
+    degree is descending, so one search of the raveled indices finds all."""
+    dims = (basis.degree + 1,) * basis.n
+    keys = np.ravel_multi_index(basis.exponents.T[:, ::-1], dims)
+    return len(keys) - 1 - np.searchsorted(keys, np.ravel_multi_index(exps.T, dims))
+
+
 @lru_cache(maxsize=64)
 def _hessian_alias(n, degree):
     # position of a+b in the 2d basis, for a, b in the d basis
-    small = basis_for(n, degree)
-    big = basis_for(n, 2 * degree)
-    size = len(small)
-    alias = np.empty((size, size), dtype=np.int64)
-    for i, a in enumerate(small):
-        for j, b in enumerate(small):
-            alias[i, j] = big.index_of(tuple(x + y for x, y in zip(a, b)))
-    return alias
+    small = basis_for(n, degree).exponents
+    sums = (small[:, None, :] + small[None, :, :]).reshape(-1, n)
+    return _positions(basis_for(n, 2 * degree), sums).reshape(len(small), len(small))
+
+
+def _q_matrix_from_coeffs(g):
+    # d = 2 only: g(x) = x'Qx with Q_ii = g_{2e_i}, Q_ij = g_{e_i+e_j}/2
+    Q = g.coeff_vector[_hessian_alias(g.n, 1)]
+    return np.where(np.eye(g.n, dtype=bool), Q, 0.5 * Q)
 
 
 class HomogeneousPoly:
@@ -298,10 +307,8 @@ def _degree_step(n, k):
     prev, cur = basis_for(n, k - 1), basis_for(n, k)
     lead = np.argmax(cur.exponents > 0, axis=1)
     unit = np.eye(n, dtype=np.int64)
-    parent = np.array([prev.index_of(a - unit[j])
-                       for a, j in zip(cur.exponents, lead)], dtype=np.int64)
-    shift = np.array([[cur.index_of(b + unit[l]) for b in prev.exponents]
-                      for l in range(n)], dtype=np.int64)
+    parent = _positions(prev, cur.exponents - unit[lead])
+    shift = _positions(cur, (prev.exponents + unit[:, None]).reshape(-1, n)).reshape(n, -1)
     for table in (lead, parent, shift):
         table.setflags(write=False)
     return lead, parent, shift
@@ -388,8 +395,7 @@ def positivity_floor(g):
     Scaled to the coefficient magnitude so the test is invariant under
     g -> c*g.
     """
-    top = float(np.max(np.abs(g.coeff_vector))) if len(g.coeff_vector) else 0.0
-    return 1e-8 * top
+    return 1e-8 * float(np.max(np.abs(g.coeff_vector)))
 
 
 def check_in_cone(g):

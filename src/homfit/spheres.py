@@ -36,6 +36,7 @@ def _circle(m):
     return points, weights
 
 
+@lru_cache(maxsize=128)
 def _gauss(k, r):
     # r // 2-node Gauss rule of the last axis of S^(k-1),
     # u = (sqrt(1 - t^2) v, t), for its weight (1 - t^2)^a on (-1, 1),

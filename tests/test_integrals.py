@@ -20,7 +20,7 @@ import homfit
 from conftest import philox
 from homfit import (HomogeneousPoly, NotInConeError, integral_exp, integrals,
                     moment, moment_vector, volume_sublevel)
-from homfit.integrals import _angular_integrals, _basis_tables
+from homfit.integrals import _angular_integrals, _basis_tables, _sphere_ladder
 from homfit.polynomials import (basis_for, compose_linear, monomial_matrix,
                                 positivity_floor)
 from homfit.spheres import (grid_size, half_grid_factors, half_sphere_grid,
@@ -39,7 +39,20 @@ GAUSS2 = HomogeneousPoly(2, 2, {(2, 0): 1.0, (0, 2): 1.0})
 QUARTIC2 = HomogeneousPoly(2, 4, {(4, 0): 1.0, (0, 4): 1.0})
 
 
+def _ladder_mass(g):
+    return float(_sphere_ladder(g, [0])[0][0][0])
+
+
 def test_integral_exp_gaussian():
+    # the sphere ladder on Gaussians; d = 2 calls take the closed form
+    assert _ladder_mass(GAUSS2) == pytest.approx(math.pi, rel=1e-12)
+    gauss3 = HomogeneousPoly.sum_of_powers(3, 2)
+    assert _ladder_mass(gauss3) == pytest.approx(math.pi ** 1.5, rel=1e-10)
+    gauss4 = HomogeneousPoly.sum_of_powers(4, 2)
+    assert _ladder_mass(gauss4) == pytest.approx(math.pi ** 2, rel=1e-10)
+
+
+def test_integral_exp_gaussian_closed_form():
     assert integral_exp(GAUSS2) == pytest.approx(math.pi, rel=1e-12)
     gauss3 = HomogeneousPoly.sum_of_powers(3, 2)
     assert integral_exp(gauss3) == pytest.approx(math.pi ** 1.5, rel=1e-10)
@@ -55,12 +68,14 @@ def test_integral_exp_quartic_frozen():
 
 
 def test_scaling_law_seeded():
-    rng = philox(31)
-    for _ in range(6):
-        lam = float(rng.uniform(0.3, 4.0))
-        scaled = integral_exp(GAUSS2 * lam)
-        assert scaled == pytest.approx(lam ** -1.0 * math.pi, rel=1e-8)
-    assert integral_exp(GAUSS2 * 2.0) == pytest.approx(math.pi / 2.0, rel=1e-10)
+    # the closed form and the sphere ladder
+    for mass in (integral_exp, _ladder_mass):
+        rng = philox(31)
+        for _ in range(6):
+            lam = float(rng.uniform(0.3, 4.0))
+            scaled = mass(GAUSS2 * lam)
+            assert scaled == pytest.approx(lam ** -1.0 * math.pi, rel=1e-8)
+        assert mass(GAUSS2 * 2.0) == pytest.approx(math.pi / 2.0, rel=1e-10)
 
 
 def test_volume_sublevel_values():
@@ -101,8 +116,15 @@ def test_odd_moments_exactly_zero():
         moment(quartic3, (1, 0))
 
 
-def test_moment_vector_gaussian():
-    mv = moment_vector(GAUSS2)
+def _ladder_moment_vector(g, include_2d=False):
+    d = g.degree
+    totals, info = _sphere_ladder(g, [0, d, 2 * d] if include_2d else [0, d])
+    return integrals.MomentVector(g.n, d, float(totals[0][0]), totals[1],
+                                  totals[2] if include_2d else None, info)
+
+
+def _check_gaussian_moments(vector):
+    mv = vector(GAUSS2)
     assert mv.y0 == pytest.approx(math.pi, rel=1e-12)
     expect = {(2, 0): math.pi / 2.0, (1, 1): 0.0, (0, 2): math.pi / 2.0}
     basis = basis_for(2, 2)
@@ -110,7 +132,7 @@ def test_moment_vector_gaussian():
         assert mv.slice_d[basis.index_of(alpha)] == pytest.approx(val, abs=1e-12)
     # n = 5: exp(-|x|^2) factorizes, and Integral t^k exp(-t^2) dt is
     # Gamma((k+1)/2) for even k, 0 for odd k
-    mv = moment_vector(HomogeneousPoly.sum_of_powers(5, 2), include_2d=True)
+    mv = vector(HomogeneousPoly.sum_of_powers(5, 2), include_2d=True)
     assert mv.quadrature_info["converged"]
     assert mv.y0 == pytest.approx(math.pi ** 2.5, rel=1e-12)
     for alpha, val in [*zip(basis_for(5, 2), mv.slice_d),
@@ -120,6 +142,15 @@ def test_moment_vector_gaussian():
         else:
             exact = math.prod(math.gamma((a + 1) / 2.0) for a in alpha)
             assert val == pytest.approx(exact, rel=1e-12)
+
+
+def test_moment_vector_gaussian():
+    # the sphere ladder on Gaussians; d = 2 calls take the closed form
+    _check_gaussian_moments(_ladder_moment_vector)
+
+
+def test_moment_vector_gaussian_closed_form():
+    _check_gaussian_moments(moment_vector)
 
 
 def test_euler_identity_seeded():
@@ -137,16 +168,17 @@ def test_euler_identity_seeded():
 
 
 def test_hessian_matrix_structure():
-    mv = moment_vector(GAUSS2, include_2d=True)
-    H = mv.hessian_matrix()
-    assert np.allclose(H, H.T)
-    basis = basis_for(2, 2)
-    i, j = basis.index_of((2, 0)), basis.index_of((0, 2))
-    # H[(2,0),(0,2)] = moment (2,2) of the Gaussian = pi/4
-    assert H[i, j] == pytest.approx(math.pi / 4.0, rel=1e-12)
-    # aliasing: same entry wherever the exponent sums agree
-    k = basis.index_of((1, 1))
-    assert H[k, k] == pytest.approx(H[i, j], rel=1e-14)
+    # the closed form and the sphere ladder
+    for vector in (moment_vector, _ladder_moment_vector):
+        H = vector(GAUSS2, include_2d=True).hessian_matrix()
+        assert np.allclose(H, H.T)
+        basis = basis_for(2, 2)
+        i, j = basis.index_of((2, 0)), basis.index_of((0, 2))
+        # H[(2,0),(0,2)] = moment (2,2) of the Gaussian = pi/4
+        assert H[i, j] == pytest.approx(math.pi / 4.0, rel=1e-12)
+        # aliasing: same entry wherever the exponent sums agree
+        k = basis.index_of((1, 1))
+        assert H[k, k] == pytest.approx(H[i, j], rel=1e-14)
     # without the 2d slice the matrix is unavailable
     with pytest.raises(ValueError):
         moment_vector(GAUSS2).hessian_matrix()
@@ -272,7 +304,7 @@ def test_factorised_level_matches_flat_sum(n, d, monkeypatch):
         gv = g(points)
         terms = monomial_matrix(points, basis_for(n, d).exponents) * g.coeff_vector
         assert np.max(np.abs(terms).sum(axis=1) / gv) < 1e4
-        totals, info = _angular_integrals(g, degrees)
+        totals, info = _sphere_ladder(g, degrees)
         assert info["points"] == grid_size(n, res)
         for k, got in zip(degrees, totals):
             f = (math.gamma((n + k) / d) / d * (gv ** (-(n + k) / d))[:, None]
@@ -292,7 +324,7 @@ def test_level_on_work_arrays_matches_fresh_arrays(n, d, monkeypatch):
     for res in (16, 32):
         monkeypatch.setattr(integrals, "START_POINTS", grid_size(n, res))
         monkeypatch.setattr(integrals, "MAX_POINTS", grid_size(n, res))
-        totals, _ = _angular_integrals(g, degrees)
+        totals, _ = _sphere_ladder(g, degrees)
         _, tw, _, weights = half_grid_factors(n, res)
         outer, inner = _basis_tables(n, res, d)
         gv = (outer * g.coeff_vector) @ inner.T
@@ -329,7 +361,7 @@ def test_n2_ladder_pair_takes_one_level(g, monkeypatch):
         return level(*args, **kwargs)
 
     monkeypatch.setattr(integrals, "_level", counted)
-    totals, info = _angular_integrals(g, degrees)
+    totals, info = _sphere_ladder(g, degrees)
     r = info["points"]
     base = resolution_for_budget(2, integrals.START_POINTS)
     assert calls == [base * 2 ** j for j in range(1, int(math.log2(r // base)) + 1)]
@@ -405,3 +437,84 @@ def test_warm_ladder_allocates_no_level_arrays(monkeypatch):
     level_bytes = 8 * cold.quadrature_info["points"] // 2
     assert level_bytes > 2 ** 20
     assert peak < level_bytes
+
+
+def _quadratic(Q):
+    """x^T Q x in the monomial basis: the coefficient of x_i x_j, i != j,
+    is 2 Q_ij."""
+    n = len(Q)
+    coeffs = {}
+    for i in range(n):
+        for j in range(i, n):
+            alpha = [0] * n
+            alpha[i] += 1
+            alpha[j] += 1
+            coeffs[tuple(alpha)] = Q[i, j] * (1.0 if i == j else 2.0)
+    return HomogeneousPoly(n, 2, coeffs)
+
+
+def _seeded_q(rng, n):
+    A = rng.normal(size=(n, n))
+    return A @ A.T + 0.5 * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_matches_the_sphere_ladder(n):
+    rng = philox(900 + n)
+    degrees = [0, 2, 4, 6]
+    for _ in range(4):
+        g = _quadratic(_seeded_q(rng, n))
+        closed, info = _angular_integrals(g, degrees)
+        assert info == {"points": 0, "converged": True, "last_delta": 0.0}
+        ladder, ladder_info = _sphere_ladder(g, degrees)
+        assert ladder_info["converged"]
+        for k, got, ref in zip(degrees, closed, ladder):
+            assert got.shape == (len(basis_for(n, k)),)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("Q", [
+    np.diag([1.0, -1.0]),                  # indefinite
+    np.array([[1.0, 1.0], [1.0, 1.0]]),    # singular
+    np.diag([1.0, 5e-9])],                 # 0 < lambda_min <= positivity_floor
+    ids=["indefinite", "singular", "below_floor"])
+def test_closed_form_cone_test(Q):
+    g = _quadratic(Q)
+    assert np.linalg.eigvalsh(Q)[0] <= positivity_floor(g)
+    for call in (lambda: integral_exp(g), lambda: moment_vector(g, include_2d=True),
+                 lambda: moment(g, (2, 0)), lambda: volume_sublevel(g, 1.0)):
+        with pytest.raises(NotInConeError):
+            call()
+
+
+def test_closed_form_is_exact_where_the_ladder_stops_short():
+    # a cold ladder on this n = 4 Gaussian (cond Q about 18) stops at the
+    # point cap unconverged; the closed form meets the mass formula and
+    # the Euler identity to rounding
+    Q = _seeded_q(philox(6), 4)
+    g = _quadratic(Q)
+    _, info = _sphere_ladder(g, [0, 2])
+    assert not info["converged"]
+    mv = moment_vector(g)
+    y0 = math.pi ** 2 / math.sqrt(np.linalg.det(Q))
+    assert mv.y0 == pytest.approx(y0, rel=1e-13)
+    assert g.coeff_vector @ mv.slice_d == pytest.approx(2.0 * mv.y0, rel=1e-13)
+
+
+def test_level_runs_only_off_degree_two(monkeypatch):
+    level = integrals._level
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return level(*args, **kwargs)
+
+    monkeypatch.setattr(integrals, "_level", counted)
+    for g, alpha in [(GAUSS2, (2, 0)), (_quadratic(_seeded_q(philox(7), 3)), (2, 2, 0)),
+                     (QUARTIC2, (4, 0))]:
+        before = len(calls)
+        integral_exp(g)
+        moment_vector(g, include_2d=True)
+        moment(g, alpha)
+        volume_sublevel(g, 2.0)
+        assert (len(calls) > before) == (g.degree == 4)

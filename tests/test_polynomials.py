@@ -11,8 +11,8 @@ from scipy.optimize import minimize
 from conftest import philox
 from homfit import (HomogeneousPoly, KDescription, NotInConeError,
                     compose_linear, min_on_sphere, moment)
-from homfit.polynomials import (_format_key, _parse_key, basis_for,
-                                check_in_cone, monomial_matrix,
+from homfit.polynomials import (_format_key, _hessian_alias, _parse_key,
+                                basis_for, check_in_cone, monomial_matrix,
                                 monomial_partials, positivity_floor,
                                 power_matrix)
 from homfit.spheres import resolution_for_budget, sphere_grid
@@ -294,6 +294,17 @@ def test_power_matrix_identities():
         power_matrix(np.ones((2, 3)), 2)
     with pytest.raises(ValueError):
         compose_linear(HomogeneousPoly.sum_of_powers(2, 2), np.eye(3))
+
+
+def test_hessian_alias_matches_the_lookup_loop():
+    # reference: the position of a + b looked up one pair at a time
+    rng = philox(27)
+    drawn = zip(rng.integers(2, 6, size=8).tolist(), rng.integers(1, 5, size=8).tolist())
+    for n, degree in [(1, 3), (4, 4), *drawn]:
+        small, big = basis_for(n, degree), basis_for(n, 2 * degree)
+        loop = np.array([[big.index_of(tuple(x + y for x, y in zip(a, b))) for b in small]
+                         for a in small], dtype=np.int64)
+        assert np.array_equal(_hessian_alias(n, degree), loop)
 
 
 def test_poly_arithmetic():

@@ -126,6 +126,20 @@ def test_homogeneity_scaling(seed, degree):
         assert rep2.g_star.coeff(a) == pytest.approx(c ** -degree * v, abs=1e-6)
 
 
+@pytest.mark.parametrize("degree", [2, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_homogeneity_scaling_across_magnitudes(seed, degree):
+    # sK for s far from 1 returns g*(x / s), volume s^n vol and the same
+    # (scale-invariant) KKT residual
+    pts = symmetric_cloud(seed, n=2, m=30)
+    base = solve_min_volume(ConstraintSet(pts), degree)
+    for s in (1e-2, 1e2):
+        rep = solve_min_volume(ConstraintSet(s * pts), degree)
+        assert rep.volume == pytest.approx(s ** 2 * base.volume, rel=1e-12)
+        assert np.allclose(rep.g_star(s * pts), base.g_star(pts), rtol=1e-8, atol=0.0)
+        assert rep.kkt_residual <= 10.0 * base.kkt_residual
+
+
 def test_random_cloud_feasible_and_certified():
     pts = random_cloud(3, n=2, m=25)
     cs = ConstraintSet(pts)
